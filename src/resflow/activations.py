@@ -20,10 +20,17 @@ LIPSWISH_SCALE = 1.1
 
 
 def sigmoid(t):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    ``1 / (1 + e)`` for ``t >= 0`` and ``e / (1 + e)`` otherwise, with
+    ``e = exp(-|t|)``; the numerator ``max(e, t >= 0)`` picks between the
+    two without a branch, bit for bit.
+    """
     t = np.asarray(t, dtype=np.float64)
-    e = np.exp(-np.abs(t))
-    out = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(t, out=np.empty_like(t))  # one buffer for -|t|, e and 1 + e
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.maximum(e, t >= 0)
+    out /= np.add(e, 1.0, out=e)
     if out.ndim == 0:
         return float(out)
     return out

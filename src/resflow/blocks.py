@@ -8,8 +8,12 @@ estimator needs from ``g`` is exposed as an explicit function:
 * ``block_jvp``           -- J_g(x) v
 * ``block_vjp``           -- J_g(x)^T u
 * ``block_dense_jacobian``-- the full d x d Jacobian (small-d oracle)
-* ``bilinear_param_grad`` -- d/dtheta [u^T J_g(x) v]  (second-order)
-* ``block_param_grad_of_output`` -- d/dtheta [u^T g(x)]
+* ``block_param_grad``    -- d/dtheta and d/dx of
+  ``sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``: the one reverse pass, fusing
+  the pathwise term with the second-order log-det term
+* ``bilinear_param_grad`` -- d/dtheta [w^T J_g(x) v], optionally plus the
+  pathwise term (a call of ``block_param_grad``)
+* ``block_param_grad_of_output`` -- d/dtheta [u^T g(x)] (likewise)
 
 Derivatives are hand-derived per layer rather than taped: the chain is
 short and fixed-shape, and writing it out makes the retained-state
@@ -27,6 +31,7 @@ from resflow.activations import (
     LIPSWISH_SCALE,
     beta_from_raw,
     beta_raw_chain,
+    sigmoid,
 )
 from resflow.errors import GuardError, ShapeError
 
@@ -220,53 +225,21 @@ class BlockCache:
 
     ``inputs[l]`` is the input to layer l, ``pre[l]`` its pre-activation,
     ``slope[l]`` the activation derivative at ``pre[l]`` (absent for the
-    final layer), ``betas[l]`` the positive activation parameters.
-    ``arg[l]`` and ``sig[l]`` keep ``beta * z`` and its sigmoid so all
-    higher activation derivatives come out of stored values instead of
-    fresh exponentials.
+    final layer), ``betas[l]`` the positive activation parameters.  With
+    ``t = beta * z`` and ``s = sigmoid(t)``, ``sd1[l]`` keeps ``s (1 - s)``
+    and ``common[l]`` keeps ``(2 sd1 + t sd1 (1 - 2 s)) / 1.1``: the
+    activation's second derivative is ``beta * common`` and the slope's
+    beta-derivative ``z * common``, so the reverse pass needs no fresh
+    exponentials.  The JVP/VJP chains read ``slope`` alone.
     """
 
     inputs: list[np.ndarray]
     pre: list[np.ndarray]
     slope: list[np.ndarray]
     betas: list[float]
-    arg: list[np.ndarray] = field(default_factory=list)
-    sig: list[np.ndarray] = field(default_factory=list)
+    sd1: list[np.ndarray] = field(default_factory=list)
+    common: list[np.ndarray] = field(default_factory=list)
     squeeze: bool = field(default=False)
-    _derived: dict = field(default_factory=dict, repr=False)
-
-    def _sig_d1(self, l: int) -> np.ndarray:
-        key = ("sd1", l)
-        if key not in self._derived:
-            s = self.sig[l]
-            self._derived[key] = s * (1.0 - s)
-        return self._derived[key]
-
-    def curv(self, l: int) -> np.ndarray:
-        """Second derivative of the activation at pre[l]."""
-        key = ("curv", l)
-        if key not in self._derived:
-            t, sd1 = self.arg[l], self._sig_d1(l)
-            sd2 = sd1 * (1.0 - 2.0 * self.sig[l])
-            common = (2.0 * sd1 + t * sd2) / LIPSWISH_SCALE
-            self._derived[key] = self.betas[l] * common
-            self._derived[("mix", l)] = self.pre[l] * common
-        return self._derived[key]
-
-    def dslope_dbeta(self, l: int) -> np.ndarray:
-        """d(slope)/d(beta) at pre[l]; equals z * curv / beta."""
-        key = ("mix", l)
-        if key not in self._derived:
-            self.curv(l)
-        return self._derived[key]
-
-    def dact_dbeta(self, l: int) -> np.ndarray:
-        """d(activation value)/d(beta) at pre[l]."""
-        key = ("dbeta", l)
-        if key not in self._derived:
-            z = self.pre[l]
-            self._derived[key] = z * z * self._sig_d1(l) / LIPSWISH_SCALE
-        return self._derived[key]
 
 
 def _as_batch(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -281,33 +254,45 @@ def _as_batch(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def _stable_sigmoid(t: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def block_forward_cache(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, BlockCache]:
     """Evaluate g(x) and keep the intermediates."""
     h, squeeze = _as_batch(params, x)
-    inputs, pre, slope, betas, args, sigs = [], [], [], [], [], []
+    inputs, pre, slope, betas, sd1s, commons = [], [], [], [], [], []
     n_layers = len(params.layers)
+    # (n, hidden) arithmetic runs in place: a fresh temporary of that size is
+    # often memory the allocator has returned to the OS and must fault back in
     for l, lay in enumerate(params.layers):
         inputs.append(h)
-        z = h @ lay.weight.T + lay.bias
+        z = h @ lay.weight.T
+        z += lay.bias
         pre.append(z)
         if l < n_layers - 1:
             beta = lay.beta
             betas.append(beta)
             t = beta * z
-            s = _stable_sigmoid(t)
-            args.append(t)
-            sigs.append(s)
-            slope.append((s + t * (s * (1.0 - s))) / LIPSWISH_SCALE)
-            h = z * s / LIPSWISH_SCALE
+            s = sigmoid(t)
+            sd1 = 1.0 - s
+            sd1 *= s
+            # slope (s + t sd1) / 1.1; common sd1 (2 + t (1 - 2 s)) / 1.1
+            d1 = t * sd1
+            d1 += s
+            d1 /= LIPSWISH_SCALE
+            common = s * -2.0
+            common += 1.0
+            common *= t
+            common += 2.0
+            common *= sd1
+            common /= LIPSWISH_SCALE
+            slope.append(d1)
+            sd1s.append(sd1)
+            commons.append(common)
+            h = z * s
+            h /= LIPSWISH_SCALE
         else:
             h = z
     cache = BlockCache(
-        inputs=inputs, pre=pre, slope=slope, betas=betas, arg=args, sig=sigs, squeeze=squeeze
+        inputs=inputs, pre=pre, slope=slope, betas=betas, sd1=sd1s, common=commons,
+        squeeze=squeeze,
     )
     return h, cache
 
@@ -317,9 +302,12 @@ def block_forward(params: BlockParams, x: np.ndarray) -> np.ndarray:
     h, squeeze = _as_batch(params, x)
     n_layers = len(params.layers)
     for l, lay in enumerate(params.layers):
-        z = h @ lay.weight.T + lay.bias
+        z = h @ lay.weight.T
+        z += lay.bias
         if l < n_layers - 1:
-            h = z * _stable_sigmoid(lay.beta * z) / LIPSWISH_SCALE
+            h = sigmoid(lay.beta * z)
+            h *= z
+            h /= LIPSWISH_SCALE
         else:
             h = z
     return h[0] if squeeze else h
@@ -332,6 +320,14 @@ def _cache_for(params: BlockParams, x: np.ndarray, cache: BlockCache | None) -> 
     return cache
 
 
+def _times_slope(a: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """``slope * a``, in ``a``'s buffer unless one row meets a batch of slopes."""
+    if a.shape[0] < slope.shape[0]:
+        return slope * a
+    a *= slope
+    return a
+
+
 def block_jvp(
     params: BlockParams, x: np.ndarray, v: np.ndarray, cache: BlockCache | None = None
 ) -> np.ndarray:
@@ -342,7 +338,7 @@ def block_jvp(
     for l, lay in enumerate(params.layers):
         t = t @ lay.weight.T
         if l < n_layers - 1:
-            t = cache.slope[l] * t
+            t = _times_slope(t, cache.slope[l])
     return t[0] if squeeze else t
 
 
@@ -356,8 +352,9 @@ def block_vjp(
         r, squeeze = r[None, :], True
     n_layers = len(params.layers)
     for l in range(n_layers - 1, -1, -1):
-        s = r @ params.layers[l].weight
-        r = cache.slope[l - 1] * s if l > 0 else s
+        r = r @ params.layers[l].weight
+        if l > 0:
+            r = _times_slope(r, cache.slope[l - 1])
     return r[0] if squeeze else r
 
 
@@ -382,7 +379,119 @@ def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: BlockCache |
     return jac[0] if squeeze else jac
 
 
-# -- first-order parameter gradient ----------------------------------------
+# -- reverse pass: parameter and input gradients ---------------------------
+
+
+def _reverse_chains(params: BlockParams, cache: BlockCache, u, w, v):
+    """Layer-wise pieces of the gradient of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
+
+    ``u`` (the pathwise term) or ``w, v`` (the bilinear term) may be None.
+    Returns (zbar, pi, tau, dbeta, xbar) where, for layer l:
+      zbar[l]  cotangent of the pre-activation z_l: the pathwise part plus
+               the bilinear part, which includes the cascade of z_l into
+               all later activation slopes (None where both are absent),
+      pi[l]    cotangent of the tangent W_l tau[l] (bilinear term only),
+      tau[l]   tangent entering layer l, the J chain applied to v,
+      dbeta[l] per-row ds/dbeta_l (hidden layers),
+    and ``xbar`` is ds/dx (None where it is zero).
+    """
+    layers = params.layers
+    n_layers = len(layers)
+    tau, kappa, pi = [None] * n_layers, [None] * n_layers, [None] * n_layers
+    if w is not None:
+        t = v
+        for l, lay in enumerate(layers[:-1]):
+            tau[l] = t
+            kappa[l] = t @ lay.weight.T
+            t = cache.slope[l] * kappa[l]
+        tau[-1], pi[-1] = t, w
+    zbar = [None] * n_layers
+    zbar[-1] = u
+    dbeta = [None] * (n_layers - 1)
+    # temporaries are updated in place, as in block_forward_cache
+    for l in range(n_layers - 2, -1, -1):
+        weight, z, slope = layers[l + 1].weight, cache.pre[l], cache.slope[l]
+        zb = dbeta_dz = None  # cotangent of z_l; rows of dbeta_dz . z_l give ds/dbeta_l
+        if zbar[l + 1] is not None:
+            zb = zbar[l + 1] @ weight  # cotangent of the activation output
+            dbeta_dz = zb * z
+            dbeta_dz *= cache.sd1[l]
+            dbeta_dz /= LIPSWISH_SCALE
+            zb *= slope
+        if w is not None:
+            lam = pi[l + 1] @ weight  # cotangent of the activated tangent
+            pi[l] = slope * lam
+            # lam kappa common: beta times it joins the cotangent of z_l
+            # (curvature), z times it the beta-derivative (slope's)
+            lam *= kappa[l]
+            lam *= cache.common[l]
+            if dbeta_dz is None:
+                dbeta_dz = lam.copy()
+            else:
+                dbeta_dz += lam
+            lam *= cache.betas[l]
+            if zb is None:
+                zb = lam
+            else:
+                zb += lam
+        zbar[l] = zb
+        dbeta[l] = np.einsum("ij,ij->i", dbeta_dz, z)
+    xbar = None if zbar[0] is None else zbar[0] @ layers[0].weight
+    return zbar, pi, tau, dbeta, xbar
+
+
+def _probe_rows(params: BlockParams, x: np.ndarray, cache: BlockCache | None, *vecs):
+    """The cache of ``x`` and each of ``vecs`` as a float64 batch (None stays None)."""
+    xb, _ = _as_batch(params, x)
+    cache = _cache_for(params, xb, cache)
+    rows = [None if a is None else np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in vecs]
+    return cache, rows
+
+
+def _rows(a: np.ndarray, n: int) -> np.ndarray:
+    """A single-point cache array broadcast against ``n`` probe rows."""
+    return a if a.shape[0] == n else np.broadcast_to(a, (n, a.shape[1]))
+
+
+def block_param_grad(
+    params: BlockParams,
+    x: np.ndarray,
+    u: np.ndarray | None = None,
+    w: np.ndarray | None = None,
+    v: np.ndarray | None = None,
+    cache: BlockCache | None = None,
+):
+    """Gradient of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
+
+    The one reverse pass of the block.  In unbiased training ``u`` is the
+    cotangent of the block output and ``w`` the Neumann cotangent of the
+    probe ``v``, so the pathwise and the log-det gradient come out of a
+    single traversal: both terms share each layer's pre-activation
+    cotangent, hence one product carries it down and one product gives
+    its weight gradient.  The bilinear term adds the tangent chain of
+    ``v``, the cotangent chain of ``w`` and the activation's second
+    derivative, since the Jacobian already contains its first.  Either
+    term may be left out (None).  Returns (parameter gradient summed over
+    rows, ``(n, d)`` gradient in ``x``).
+    """
+    cache, (u, w, v) = _probe_rows(params, x, cache, u, w, v)
+    n = (u if u is not None else w).shape[0]
+    zbar, pi, tau, dbeta, xbar = _reverse_chains(params, cache, u, w, v)
+    layers = []
+    for l, lay in enumerate(params.layers):
+        if zbar[l] is None:
+            weight, bias = np.zeros_like(lay.weight), np.zeros_like(lay.bias)
+        else:
+            weight, bias = zbar[l].T @ _rows(cache.inputs[l], n), zbar[l].sum(axis=0)
+        if pi[l] is not None:
+            weight += pi[l].T @ tau[l]
+        raw_beta = 0.0
+        if lay.raw_beta is not None:
+            raw_beta = float(dbeta[l].sum() * beta_raw_chain(lay.raw_beta))
+        layers.append(LayerGrads(weight=weight, bias=bias, raw_beta=raw_beta))
+    if xbar is None:
+        xbar = np.zeros((n, params.dim))
+    return BlockGrads(layers=layers), xbar
 
 
 def block_param_grad_of_output(
@@ -394,78 +503,14 @@ def block_param_grad_of_output(
 ):
     """Gradient of ``u . g(x)`` with respect to every block parameter.
 
-    Standard reverse pass.  With ``return_vjp`` the input cotangent
-    ``J_g(x)^T u`` comes back too, so a flow backward sweep gets both for
-    the price of one traversal.  Batched inputs are summed over the batch.
+    The pathwise term of :func:`block_param_grad` alone.  With
+    ``return_vjp`` the input cotangent ``J_g(x)^T u`` comes back too.
+    Batched inputs are summed over the batch.
     """
-    xb, _ = _as_batch(params, x)
-    cache = _cache_for(params, xb, cache)
-    delta = np.asarray(u, dtype=np.float64)
-    u_single = delta.ndim == 1
-    if u_single:
-        delta = delta[None, :]
-    n_layers = len(params.layers)
-    grads = BlockGrads.zeros_like(params)
-    for l in range(n_layers - 1, -1, -1):
-        lay = params.layers[l]
-        g = grads.layers[l]
-        g.weight += delta.T @ cache.inputs[l]
-        g.bias += delta.sum(axis=0)
-        p = delta @ lay.weight
-        if l > 0:
-            grads.layers[l - 1].raw_beta += float(
-                np.sum(p * cache.dact_dbeta(l - 1))
-                * beta_raw_chain(params.layers[l - 1].raw_beta)
-            )
-            delta = cache.slope[l - 1] * p
-        else:
-            vjp = p
+    grads, vjp = block_param_grad(params, x, u=u, cache=cache)
     if return_vjp:
-        return grads, (vjp[0] if u_single and vjp.shape[0] == 1 else vjp)
+        return grads, (vjp[0] if np.ndim(u) == 1 and vjp.shape[0] == 1 else vjp)
     return grads
-
-
-# -- second-order bilinear gradient -----------------------------------------
-
-
-def _bilinear_chains(params: BlockParams, cache: BlockCache, u: np.ndarray, v: np.ndarray):
-    """Shared tangent/cotangent chains for the bilinear form u^T J_g(x) v.
-
-    Returns (tau, kappa, pi, lam, eps) where, for layer l:
-      tau[l]   input-side tangent entering the layer (J chain applied to v),
-      kappa[l] = W_l tau[l],
-      pi[l]    cotangent of the form w.r.t. kappa[l],
-      lam[l]   cotangent w.r.t. the activated tangent (layers 0..L-2),
-      eps[l]   sensitivity of the form to the pre-activation z_l, including
-               the cascade of z_l into all later activation slopes.
-    """
-    n_layers = len(params.layers)
-    tau = [None] * n_layers
-    kappa = [None] * n_layers
-    t = v
-    for l, lay in enumerate(params.layers):
-        tau[l] = t
-        kappa[l] = t @ lay.weight.T
-        if l < n_layers - 1:
-            t = cache.slope[l] * kappa[l]
-
-    pi = [None] * n_layers
-    lam = [None] * (n_layers - 1)
-    r = u
-    pi[n_layers - 1] = r
-    for l in range(n_layers - 2, -1, -1):
-        lam[l] = pi[l + 1] @ params.layers[l + 1].weight
-        pi[l] = cache.slope[l] * lam[l]
-
-    eps = [None] * (n_layers - 1)
-    carry = None
-    for l in range(n_layers - 2, -1, -1):
-        e = lam[l] * cache.curv(l) * kappa[l]
-        if carry is not None:
-            e = e + cache.slope[l] * (carry @ params.layers[l + 1].weight)
-        eps[l] = e
-        carry = e
-    return tau, kappa, pi, lam, eps
 
 
 def bilinear_param_grad(
@@ -475,54 +520,20 @@ def bilinear_param_grad(
     v: np.ndarray,
     cache: BlockCache | None = None,
     want_input_grad: bool = False,
+    out_cot: np.ndarray | None = None,
 ):
     """Gradient of the scalar ``s = u^T J_g(x) v`` in all block parameters.
 
     This is the primitive that turns an accumulated Neumann cotangent into
     a parameter gradient without differentiating through the series
-    accumulation.  Requires the activation's second derivative, since the
-    Jacobian already contains its first.  With ``want_input_grad`` the
-    gradient of ``s`` with respect to ``x`` is also returned, which the
-    training loop backpropagates into upstream layers.  Batched ``u, v``
-    are summed over the batch.
+    accumulation.  With ``out_cot`` the pathwise term ``out_cot . g(x)`` is
+    added to ``s`` and shares the reverse pass (:func:`block_param_grad`).
+    With ``want_input_grad`` the ``(n, d)`` gradient of ``s`` with respect
+    to ``x`` is also returned, which the training loop backpropagates into
+    upstream layers.  Batched ``u, v`` are summed over the batch.
     """
-    xb, _ = _as_batch(params, x)
-    cache = _cache_for(params, xb, cache)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.ndim == 1:
-        u = u[None, :]
-    if v.ndim == 1:
-        v = v[None, :]
-    n_layers = len(params.layers)
-    tau, kappa, pi, lam, eps = _bilinear_chains(params, cache, u, v)
-
-    grads = BlockGrads.zeros_like(params)
-    n = u.shape[0]
-    for l in range(n_layers):
-        g = grads.layers[l]
-        g.weight += pi[l].T @ tau[l]
-        if l < n_layers - 1:
-            inp = cache.inputs[l]
-            if inp.shape[0] != n:
-                # single-point cache against a batch of probe pairs
-                inp = np.broadcast_to(inp, (n, inp.shape[1]))
-            g.weight += eps[l].T @ inp
-            g.bias += eps[l].sum(axis=0)
-            dbeta = np.sum(lam[l] * cache.dslope_dbeta(l) * kappa[l])
-            if l + 1 <= n_layers - 2:
-                # beta also moves the activation value feeding later layers
-                dbeta += np.sum(
-                    eps[l + 1] * (cache.dact_dbeta(l) @ params.layers[l + 1].weight.T)
-                )
-            g.raw_beta += float(dbeta * beta_raw_chain(params.layers[l].raw_beta))
-    if want_input_grad:
-        if n_layers > 1:
-            input_grad = eps[0] @ params.layers[0].weight
-        else:
-            input_grad = np.zeros((u.shape[0], params.dim))
-        return grads, input_grad
-    return grads
+    grads, input_grad = block_param_grad(params, x, u=out_cot, w=u, v=v, cache=cache)
+    return (grads, input_grad) if want_input_grad else grads
 
 
 def bilinear_param_grad_per_sample(
@@ -537,32 +548,15 @@ def bilinear_param_grad_per_sample(
     Materializes the rank-2 per-sample weight gradients, so it is meant
     for small blocks (Monte-Carlo statistics in tests/diagnostics).
     """
-    xb, _ = _as_batch(params, x)
-    cache = _cache_for(params, xb, cache)
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    cache, (u, v) = _probe_rows(params, x, cache, u, v)
     n = u.shape[0]
-    n_layers = len(params.layers)
-    tau, kappa, pi, lam, eps = _bilinear_chains(params, cache, u, v)
+    zbar, pi, tau, dbeta, _ = _reverse_chains(params, cache, None, u, v)
     cols = []
-    for l in range(n_layers):
-        lay = params.layers[l]
-        inp = cache.inputs[l]
-        if inp.shape[0] == 1:
-            inp = np.broadcast_to(inp, (n, inp.shape[1]))
+    for l, lay in enumerate(params.layers):
         w_g = pi[l][:, :, None] * tau[l][:, None, :]
-        if l < n_layers - 1:
-            w_g = w_g + eps[l][:, :, None] * inp[:, None, :]
-        cols.append(w_g.reshape(n, -1))
-        if l < n_layers - 1:
-            cols.append(eps[l])
-            chain = beta_raw_chain(lay.raw_beta)
-            dbeta = (lam[l] * cache.dslope_dbeta(l) * kappa[l]).sum(axis=1)
-            if l + 1 <= n_layers - 2:
-                dbeta = dbeta + (
-                    eps[l + 1] * (cache.dact_dbeta(l) @ params.layers[l + 1].weight.T)
-                ).sum(axis=1)
-            cols.append(dbeta[:, None] * chain)
-        else:
-            cols.append(np.zeros((n, lay.bias.size)))
+        if zbar[l] is None:
+            cols += [w_g.reshape(n, -1), np.zeros((n, lay.bias.size))]
+            continue
+        w_g = w_g + zbar[l][:, :, None] * _rows(cache.inputs[l], n)[:, None, :]
+        cols += [w_g.reshape(n, -1), zbar[l], (dbeta[l] * beta_raw_chain(lay.raw_beta))[:, None]]
     return np.concatenate(cols, axis=1)

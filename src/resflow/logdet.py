@@ -225,69 +225,55 @@ def _neumann_coefficients(dist: RouletteDist, kmax: int) -> np.ndarray:
     return coef
 
 
+def _active_slopes(cache: BlockCache, rows: np.ndarray) -> list[np.ndarray]:
+    """The slopes of ``rows``, gathered once in that order.
+
+    Slopes are all the JVP/VJP chain reads, so a series loop sorted by
+    truncation slices prefixes of these instead of copying whole caches.
+    A single-point cache is kept as it is: it broadcasts against any rows.
+    """
+    if cache.inputs[0].shape[0] == 1:
+        return cache.slope
+    return [s[rows] for s in cache.slope]
+
+
+def _prefix(slopes: list[np.ndarray], m: int) -> BlockCache:
+    """The chain's cache for the first ``m`` active rows."""
+    return BlockCache(inputs=[], pre=[], slope=[s[:m] for s in slopes], betas=[])
+
+
 def _series_values_batch(
     params: BlockParams,
     x: np.ndarray,
     v: np.ndarray,
     n_terms: np.ndarray,
     coefs: np.ndarray,
-    cache: BlockCache | None = None,
+    point_of_row: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate sum_{k<=K_i} coefs[k-1] * v_i^T J^k v_i for each row i.
 
-    ``x`` is either a single point shared by every row of ``v`` or a batch
-    aligned with it.  Rows are processed sorted by descending truncation so
-    the active set is always a prefix slice.
+    ``x`` is either a single point shared by every row of ``v``, a batch
+    aligned with it, or, with ``point_of_row``, the distinct points that
+    row i reads as ``x[point_of_row[i]]``; the block forward runs once per
+    point.  Rows are processed sorted by descending truncation so the
+    active set is always a prefix slice.
     """
     x = np.asarray(x, dtype=np.float64)
-    xb = x[None, :] if x.ndim == 1 else x
-    if cache is None:
-        _, cache = block_forward_cache(params, xb)
+    _, cache = block_forward_cache(params, x[None, :] if x.ndim == 1 else x)
     n = v.shape[0]
     order = np.argsort(-n_terms, kind="stable")
     ks = n_terms[order]
     vs = v[order]
-    shared_x = xb.shape[0] == 1
-    xs = xb if shared_x else xb[order]
-    cache_s = cache if shared_x else _permute_cache(cache, order)
+    slopes = _active_slopes(cache, order if point_of_row is None else point_of_row[order])
     values = np.zeros(n)
     cur = vs
-    kmax = int(ks[0]) if n else 0
-    for k in range(1, kmax + 1):
+    for k in range(1, (int(ks[0]) if n else 0) + 1):
         m = int(np.searchsorted(-ks, -k, side="right"))
-        if m < cur.shape[0]:
-            cur = cur[:m]
-        cur = block_jvp(params, xs if shared_x else xs[:m], cur, cache=_prefix_cache(cache_s, m, shared_x))
+        cur = block_jvp(params, None, cur[:m], cache=_prefix(slopes, m))
         values[:m] += coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
     out = np.empty(n)
     out[order] = values
     return out
-
-
-def _permute_cache(cache: BlockCache, order: np.ndarray) -> BlockCache:
-    return BlockCache(
-        inputs=[a[order] for a in cache.inputs],
-        pre=[a[order] for a in cache.pre],
-        slope=[a[order] for a in cache.slope],
-        betas=cache.betas,
-        arg=[a[order] for a in cache.arg],
-        sig=[a[order] for a in cache.sig],
-        squeeze=False,
-    )
-
-
-def _prefix_cache(cache: BlockCache, m: int, shared_x: bool) -> BlockCache:
-    if shared_x or m >= cache.inputs[0].shape[0]:
-        return cache
-    return BlockCache(
-        inputs=[a[:m] for a in cache.inputs],
-        pre=[a[:m] for a in cache.pre],
-        slope=[a[:m] for a in cache.slope],
-        betas=cache.betas,
-        arg=[a[:m] for a in cache.arg],
-        sig=[a[:m] for a in cache.sig],
-        squeeze=False,
-    )
 
 
 # -- log-det estimators ------------------------------------------------------
@@ -423,12 +409,11 @@ def roulette_logdet_rows(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     nh = cfg.n_hutchinson
-    x_rep = np.repeat(X, nh, axis=0) if nh > 1 else X
     v = draw_probe(rng, params.dim, cfg.hutchinson_dist, size=n * nh)
     n_tail = dist.sample(rng, size=n * nh)
     k_arr = dist.n_exact + n_tail
     coefs = _roulette_coefficients(dist, int(k_arr.max()))
-    vals = _series_values_batch(params, x_rep, v, k_arr, coefs)
+    vals = _series_values_batch(params, X, v, k_arr, coefs, np.arange(n * nh) // nh)
     vals = vals.reshape(n, nh).mean(axis=1)
     terms = k_arr.reshape(n, nh).sum(axis=1)
     return vals, terms
@@ -444,11 +429,10 @@ def biased_logdet_rows(
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     nh = cfg.n_hutchinson
-    x_rep = np.repeat(X, nh, axis=0) if nh > 1 else X
     v = draw_probe(rng, params.dim, cfg.hutchinson_dist, size=n * nh)
     k_arr = np.full(n * nh, cfg.n_fixed, dtype=np.int64)
     coefs = _truncated_coefficients(cfg.n_fixed)
-    vals = _series_values_batch(params, x_rep, v, k_arr, coefs)
+    vals = _series_values_batch(params, X, v, k_arr, coefs, np.arange(n * nh) // nh)
     vals = vals.reshape(n, nh).mean(axis=1)
     terms = k_arr.reshape(n, nh).sum(axis=1)
     return vals, terms
@@ -634,6 +618,7 @@ def roulette_value_and_neumann_grad_rows(
     cfg: EstimatorConfig,
     rng: np.random.Generator,
     cache: BlockCache | None = None,
+    out_cot: np.ndarray | None = None,
 ):
     """Training-time combined estimator for a batch of points.
 
@@ -641,8 +626,10 @@ def roulette_value_and_neumann_grad_rows(
     gradient: a single vector-Jacobian chain yields both the reweighted
     log-det terms ``v^T J^k v`` and the Neumann cotangent ``w``.  Returns
     (values, terms, parameter gradient summed over rows, per-row input
-    gradient).  With ``n_hutchinson > 1`` rows are repeated and the
-    estimates averaged.
+    gradient).  With ``out_cot``, a cotangent of the block output per row,
+    both gradients are those of ``sum_i logdet_i + out_cot_i . g(x_i)``:
+    the pathwise term rides the bilinear form's reverse pass.  With
+    ``n_hutchinson > 1`` rows are repeated and the estimates averaged.
     """
     dist = cfg.roulette
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -665,28 +652,29 @@ def roulette_value_and_neumann_grad_rows(
     order = np.argsort(-k_arr, kind="stable")
     ks = k_arr[order]
     vs = v[order]
-    cache_s = _permute_cache(cache, order)
+    slopes = _active_slopes(cache, order)
     values = np.zeros(rows)
     w = grad_coefs[0] * vs
     cur = vs
     for k in range(1, kmax + 1):
         m = int(np.searchsorted(-ks, -k, side="right"))
-        if m < cur.shape[0]:
-            cur = cur[:m]
-        cur = block_vjp(params, x_rep, cur, cache=_prefix_cache(cache_s, m, False))
+        cur = block_vjp(params, None, cur[:m], cache=_prefix(slopes, m))
         values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
         # Neumann term k is the derivative of log-det term k + 1: only rows
         # whose truncation reaches k + 1 keep it
         if k < kmax:
             m_grad = int(np.searchsorted(-ks, -(k + 1), side="right"))
             w[:m_grad] += grad_coefs[k] * cur[:m_grad]
+    del slopes  # dead before the reverse pass allocates its own rows
     vals_out = np.empty(rows)
     vals_out[order] = values
     w_out = np.empty_like(w)
     w_out[order] = w
 
+    if out_cot is not None and nh > 1:
+        out_cot = np.repeat(out_cot, nh, axis=0)
     grads, input_grad = bilinear_param_grad(
-        params, x_rep, w_out, v, cache=cache, want_input_grad=True
+        params, x_rep, w_out, v, cache=cache, want_input_grad=True, out_cot=out_cot
     )
     if nh > 1:
         grads.scale_(1.0 / nh)

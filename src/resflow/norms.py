@@ -179,7 +179,9 @@ def induced_norm_for_layer(
     )
     state = None
     if lay.pi_u is not None:
-        state = PowerIterState(u=lay.pi_u, last_estimate=lay.pi_estimate)
+        # after a rescale pi_estimate is coeff; the free matrix measured pi_scale times that
+        last = None if lay.pi_estimate is None else lay.pi_estimate * lay.pi_scale
+        state = PowerIterState(u=lay.pi_u, last_estimate=last)
     est, new_state = mixed_norm_power_iteration(lay.weight, spec, state)
     lay.pi_u = new_state.u
     lay.pi_estimate = est

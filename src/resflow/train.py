@@ -7,6 +7,9 @@ value paired with the Neumann-series gradient, the biased fixed
 truncation differentiated term by term, or the dense exact oracle.  Both
 parts propagate input cotangents upstream, so downstream blocks'
 log-determinants correctly contribute gradient to upstream parameters.
+In unbiased mode the two parts share one reverse pass per block
+(``blocks.block_param_grad``), and each block's forward cache is dropped
+as soon as that pass is done.
 
 The optimizer's variable is the unnormalized parameter vector ``V``, as
 in spectral normalization: the model's weights are derived from it as
@@ -209,28 +212,32 @@ def nll_and_grad(
 
         n_blocks += 1
         block = lay.params
-        bg, vjp = block_param_grad_of_output(
-            block, x_in, cot, cache=caches[idx], return_vjp=True
-        )
-        cot = cot + vjp
-
-        if mode == "exact":
-            values = exact_logdet(block, x_in)
-            lg, ig = exact_logdet_grad(block, x_in, cache=caches[idx], want_input_grad=True)
-        elif mode == "unbiased":
-            values, terms, lg, ig = roulette_value_and_neumann_grad_rows(
-                block, x_in, est_cfg, rng, cache=caches[idx]
+        if mode == "unbiased":
+            # one reverse pass for the log-det and the pathwise term: the
+            # gradients of sum_i logdet_i - cot_i . g(x_i)
+            values, terms, bg, ig = roulette_value_and_neumann_grad_rows(
+                block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot
             )
             terms_mean += float(terms.mean())
+            bg.scale_(-1.0)
         else:
-            values, terms, lg, ig = biased_value_and_grad_rows(
-                block, x_in, est_cfg, rng, cache=caches[idx]
+            bg, vjp = block_param_grad_of_output(
+                block, x_in, cot, cache=caches[idx], return_vjp=True
             )
-            terms_mean += float(terms.mean())
+            cot = cot + vjp
+            if mode == "exact":
+                values = exact_logdet(block, x_in)
+                lg, ig = exact_logdet_grad(block, x_in, cache=caches[idx], want_input_grad=True)
+            else:
+                values, terms, lg, ig = biased_value_and_grad_rows(
+                    block, x_in, est_cfg, rng, cache=caches[idx]
+                )
+                terms_mean += float(terms.mean())
+            bg.add_(lg, scale=-1.0)
         logdet_sum += values
-        bg.add_(lg, scale=-1.0)
         cot = cot - ig
         grads[idx] = bg
+        caches[idx] = None  # no block state outlives its reverse pass
 
     loss = float(np.mean(-base - logdet_sum))
     inv_n = 1.0 / n

@@ -135,3 +135,17 @@ class TestBetaReparameterization:
     def test_positive(self):
         for raw in (-30.0, -1.0, 0.0, 5.0):
             assert beta_from_raw(raw) > 0
+
+
+def test_sigmoid_bit_identical_to_branching_form():
+    rng = np.random.default_rng(0)
+    t = np.concatenate(
+        [[0.0, -0.0, np.inf, -np.inf, np.nan]]
+        + [rng.standard_normal(2000) * scale for scale in (1.0, 10.0, 100.0, 800.0)]
+    )
+    e = np.exp(-np.abs(t))
+    branching = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = sigmoid(t)
+    assert np.isnan(out[4]) and np.isnan(branching[4])
+    keep = ~np.isnan(t)
+    np.testing.assert_array_equal(out[keep].view(np.int64), branching[keep].view(np.int64))

@@ -14,6 +14,7 @@ from resflow.blocks import (
     block_forward,
     block_forward_cache,
     block_jvp,
+    block_param_grad,
     block_param_grad_of_output,
     block_vjp,
     grads_vector,
@@ -268,6 +269,41 @@ class TestOutputParamGrad:
         x, u = rng.standard_normal((2, 2))
         _, vjp = block_param_grad_of_output(params, x, u, return_vjp=True)
         np.testing.assert_allclose(vjp, block_vjp(params, x, u), rtol=1e-12)
+
+
+class TestFusedReverse:
+    """``block_param_grad``: d/dtheta and d/dx of u . g(x) + w^T J_g(x) v."""
+
+    @pytest.mark.parametrize("n_layers,hidden", [(2, 6), (3, 8), (4, 5)])
+    def test_matches_finite_differences(self, n_layers, hidden):
+        params = make_block(seed=70 + n_layers, hidden=hidden, n_layers=n_layers)
+        rng = np.random.default_rng(71)
+        x, u, w, v = rng.standard_normal((4, 2))
+
+        def functional(p, at=x):
+            return float(u @ block_forward(p, at) + w @ block_jvp(p, at, v))
+
+        grads, xbar = block_param_grad(params, x, u=u, w=w, v=v)
+        fd = fd_param_gradient(params, functional, FD_STEP_SECOND)
+        np.testing.assert_allclose(grads_vector(grads), fd, rtol=1e-4, atol=1e-9)
+        h = FD_STEP_SECOND
+        fd_x = [
+            (functional(params, x + h * e) - functional(params, x - h * e)) / (2 * h)
+            for e in np.eye(2)
+        ]
+        np.testing.assert_allclose(xbar[0], fd_x, rtol=1e-5, atol=1e-9)
+
+    def test_batch_is_sum_of_pathwise_and_bilinear_terms(self):
+        params = make_block(seed=75, hidden=7)
+        rng = np.random.default_rng(76)
+        X, U, W, V = rng.standard_normal((4, 5, 2))
+        fused, xbar = block_param_grad(params, X, u=U, w=W, v=V)
+        path, vjp = block_param_grad_of_output(params, X, U, return_vjp=True)
+        bil, ig = bilinear_param_grad(params, X, W, V, want_input_grad=True)
+        np.testing.assert_allclose(
+            grads_vector(fused), grads_vector(path.add_(bil)), rtol=1e-12, atol=1e-14
+        )
+        np.testing.assert_allclose(xbar, vjp + ig, rtol=1e-12, atol=1e-14)
 
 
 class TestParamVector:

@@ -151,6 +151,19 @@ class TestConstraint:
         for b, lay in zip(before, params.layers):
             np.testing.assert_array_equal(b, lay.weight)
 
+    def test_warm_restart_on_unchanged_free_matrix_takes_one_iteration(self):
+        # after a rescale pi_estimate is coeff; the stopping test must start
+        # from the norm the free matrix had, pi_estimate * pi_scale
+        rng = np.random.default_rng(24)
+        params = init_block_params(rng, 2, hidden=16, init_norm_fraction=2.5)
+        free = [lay.weight.copy() for lay in params.layers]
+        apply_lipschitz_constraint(params, 0.98)
+        assert all(lay.pi_scale > 1.0 for lay in params.layers)
+        for lay, weight in zip(params.layers, free):
+            lay.weight[...] = weight
+        apply_lipschitz_constraint(params, 0.98)
+        assert [lay.pi_iters_used for lay in params.layers] == [1, 1, 1]
+
     def test_scaling_linearity(self):
         rng = np.random.default_rng(23)
         params = init_block_params(rng, 2, hidden=8, init_norm_fraction=1.0)

@@ -5,9 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from resflow.blocks import BlockParams, LayerParams, block_param_grad_of_output
 from resflow.config import TrainConfig
-from resflow.flow import ResidualBlock, log_density_batch
-from resflow.logdet import biased_logdet_exact_trace_rows, exact_logdet
+from resflow.flow import ActNorm, FlowModel, ResidualBlock, log_density_batch
+from resflow.logdet import (
+    EstimatorConfig,
+    biased_logdet_exact_trace_rows,
+    exact_logdet,
+    roulette_value_and_neumann_grad_rows,
+)
 from resflow.train import (
     ParamPacker,
     estimator_config_from,
@@ -58,26 +64,80 @@ class TestObjectiveGradient:
         np.testing.assert_allclose(flat, fd, atol=5e-9)
 
     def test_stochastic_gradient_unbiased_for_single_linear_block(self):
-        # one linear block on gaussian-ish data: the Monte-Carlo mean of
-        # the estimator-mode gradient must match the exact-mode gradient
-        state = init_train_state(tiny_cfg(blocks=1, hidden=6, dataset="eight_gaussians"))
-        X = state.dataset.sample(8)
-        _, g_exact, _ = nll_and_grad(state.model, X, "exact")
-        exact = state.packer.pack_grads(state.model, g_exact)
-        est = estimator_config_from(state.cfg)
-        rng = np.random.default_rng(0)
-        acc = np.zeros_like(exact)
-        acc2 = np.zeros_like(exact)
-        M = 3000
-        for _ in range(M):
-            _, g, _ = nll_and_grad(state.model, X, "unbiased", est, rng)
-            f = state.packer.pack_grads(state.model, g)
-            acc += f
-            acc2 += f * f
-        mean = acc / M
-        se = np.sqrt(np.maximum(acc2 / M - mean**2, 0.0) / M)
-        z = np.where(se > 1e-14, (mean - exact) / np.where(se > 1e-14, se, 1.0), 0.0)
+        # one linear block g(x) = A x + b with eigenvalues 0.4 and -0.3, below
+        # 1 - q, so the reweighted Neumann tail has finite variance: the
+        # Monte-Carlo mean of the unbiased gradient matches the exact one
+        A = np.array([[0.4, 0.35], [0.0, -0.3]])
+        layer = LayerParams(weight=A, bias=np.array([0.2, -0.1]), raw_beta=None)
+        model = FlowModel(dim=2, layers=[ResidualBlock(BlockParams(layers=[layer]))])
+        packer = ParamPacker(model)
+        X = np.random.default_rng(8).standard_normal((16, 2))
+        _, g_exact, _ = nll_and_grad(model, X, "exact")
+        exact = packer.pack_grads(model, g_exact)
+        est = EstimatorConfig()
+        rng = np.random.default_rng(9)
+        M = 4000
+        samples = np.array(
+            [
+                packer.pack_grads(model, nll_and_grad(model, X, "unbiased", est, rng)[1])
+                for _ in range(M)
+            ]
+        )
+        mean = samples.mean(axis=0)
+        se = samples.std(axis=0, ddof=1) / np.sqrt(M)
+        # the four weight entries are random; the bias gradient is pathwise only
+        random = se > 1e-12
+        assert random.sum() == 4
+        z = (mean[random] - exact[random]) / se[random]
         assert np.max(np.abs(z)) < 4.5
+        np.testing.assert_allclose(mean[~random], exact[~random], rtol=1e-12)
+
+    @pytest.mark.parametrize("n_hutchinson", [1, 3])
+    def test_unbiased_gradient_matches_two_call_composition(self, n_hutchinson):
+        # the fused reverse pass equals, for the same probes and truncations,
+        # the pathwise gradient plus the log-det estimator run on its own
+        state = init_train_state(tiny_cfg(blocks=3, hidden=8, n_hutchinson=n_hutchinson))
+        X = state.dataset.sample(32)
+        _, grads, _ = nll_and_grad(
+            state.model, X, "unbiased", state.est_cfg, np.random.default_rng(3)
+        )
+        expected = two_call_unbiased_grads(
+            state.model, X, state.est_cfg, np.random.default_rng(3)
+        )
+        np.testing.assert_allclose(
+            state.packer.pack_grads(state.model, grads),
+            state.packer.pack_grads(state.model, expected),
+            rtol=1e-12,
+        )
+
+
+def two_call_unbiased_grads(model, X, est_cfg, rng):
+    """Per-layer mean-NLL gradients with two calls per residual block: the
+    pathwise reverse pass, then the log-det estimator without an output
+    cotangent."""
+    inputs = []
+    h = X
+    for lay in model.layers:
+        inputs.append(h)
+        h = lay.forward(h)
+    n = X.shape[0]
+    cot = h.copy()
+    grads = [None] * len(model.layers)
+    for idx in range(len(model.layers) - 1, -1, -1):
+        lay, x_in = model.layers[idx], inputs[idx]
+        if isinstance(lay, ActNorm):
+            scale = np.exp(lay.log_scale)
+            grads[idx] = {
+                "log_scale": ((cot * x_in).sum(axis=0) * scale - n) / n,
+                "shift": cot.sum(axis=0) / n,
+            }
+            cot = cot * scale
+            continue
+        bg, vjp = block_param_grad_of_output(lay.params, x_in, cot, return_vjp=True)
+        _, _, lg, ig = roulette_value_and_neumann_grad_rows(lay.params, x_in, est_cfg, rng)
+        grads[idx] = bg.add_(lg, scale=-1.0).scale_(1.0 / n)
+        cot = cot + vjp - ig
+    return grads
 
 
 class TestTrainStepInvariants:

@@ -4,6 +4,9 @@ Config files are plain text, one ``key = value`` per line with ``#``
 comments.  Every key can also be overridden on the command line as
 ``--key=value``.  Keys are dotted (``train.lr``, ``lipschitz.coeff``,
 ``estimator.kind``); unknown keys are an error so typos fail loudly.
+Values are checked when a config is built (``TrainConfig.__post_init__``,
+reusing the estimator, norm-preset and dataset checks), so a bad value
+fails as a ``ConfigError`` before a run writes anything.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from resflow.data import DATASET_NAMES
 from resflow.errors import ConfigError
+from resflow.logdet import EstimatorConfig, RouletteDist
+from resflow.norms import NORM_PRESETS, check_coeff
 
 
 @dataclass
@@ -60,6 +66,28 @@ class TrainConfig:
             raise ConfigError(f"estimator.kind must be unbiased|biased, got {self.estimator_kind!r}")
         if self.actnorm_init not in ("identity", "data"):
             raise ConfigError(f"train.actnorm_init must be identity|data, got {self.actnorm_init!r}")
+        if self.dataset not in DATASET_NAMES:
+            raise ConfigError(f"train.dataset must be one of {DATASET_NAMES}, got {self.dataset!r}")
+        if self.norm_preset not in NORM_PRESETS:
+            raise ConfigError(
+                f"lipschitz.norm_preset must be one of {sorted(NORM_PRESETS)}, "
+                f"got {self.norm_preset!r}"
+            )
+        if self.hidden < 1:
+            raise ConfigError(f"train.hidden must be >= 1, got {self.hidden}")
+        if self.batch_size < 1:
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        try:
+            check_coeff(self.lipschitz_coeff)
+            # the training estimator, then the evaluation protocol's
+            for n_exact, n_probes in [
+                (self.n_exact, self.n_hutchinson),
+                (self.eval_terms, self.eval_tail_samples),
+            ]:
+                roulette = RouletteDist(q=self.q, n_exact=n_exact)
+                EstimatorConfig(roulette, self.hutchinson, n_probes, self.n_fixed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # dotted config key -> dataclass field

@@ -7,28 +7,25 @@ log-determinants``.  Residual blocks contribute ``log det(I + J_g)``
 (exact oracle or stochastic estimate, per evaluation mode), actnorm
 layers contribute the sum of their log scales.
 
-Inversion is plain fixed-point iteration ``x <- z - g(x)``, which
-converges geometrically because every branch is a contraction.
+:func:`log_density_batch` is the one density route, for any number of
+rows (a single point is a one-row batch): it takes each block's
+log-determinant from ``logdet.exact_logdet``, ``roulette_logdet_rows``
+or ``biased_logdet_rows``.  :func:`transform` applies ``f`` alone;
+:func:`inverse` is plain fixed-point iteration ``x <- z - g(x)``, which
+converges geometrically because every branch is a contraction, and
+:func:`sample` pulls base draws back through it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from resflow.blocks import BlockParams, block_forward
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
-from resflow.logdet import (
-    EstimatorConfig,
-    LogDetSample,
-    biased_logdet_rows,
-    biased_truncated_logdet,
-    exact_logdet,
-    roulette_logdet,
-    roulette_logdet_rows,
-)
+from resflow.logdet import EstimatorConfig, biased_logdet_rows, exact_logdet, roulette_logdet_rows
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -102,21 +99,6 @@ class ResidualBlock:
 
     def copy(self) -> "ResidualBlock":
         return ResidualBlock(params=self.params.copy())
-
-
-@dataclass
-class LogDensityResult:
-    """Value and bookkeeping of one density evaluation.
-
-    ``logp`` always equals ``base_logp + sum(per_layer_logdet)`` exactly;
-    ``estimator_meta`` holds one sample record per residual block when a
-    stochastic mode ran (empty in exact mode).
-    """
-
-    logp: float
-    base_logp: float
-    per_layer_logdet: list[float]
-    estimator_meta: list[LogDetSample] = field(default_factory=list)
 
 
 @dataclass
@@ -214,56 +196,6 @@ def actnorm_initialize(model: FlowModel, batch: np.ndarray) -> FlowModel:
     return model
 
 
-def forward(
-    model: FlowModel,
-    x: np.ndarray,
-    mode: str = "exact",
-    cfg: EstimatorConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, LogDensityResult]:
-    """Map one point through the flow and account its log density.
-
-    ``mode`` selects the per-block log-determinant route: ``exact``
-    (dense oracle, small d), ``unbiased`` (roulette estimate) or
-    ``biased`` (fixed truncation).  Stochastic modes need ``cfg`` and
-    ``rng``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.dim:
-        raise ShapeError(f"forward expects a single point of dim {model.dim}")
-    if mode not in ("exact", "unbiased", "biased"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "exact" and (cfg is None or rng is None):
-        raise ValueError(f"mode {mode!r} needs an estimator config and rng")
-    h = x
-    per_layer: list[float] = []
-    meta: list[LogDetSample] = []
-    for lay in model.layers:
-        if isinstance(lay, ActNorm):
-            per_layer.append(lay.logdet)
-            h = lay.forward(h)
-        else:
-            if mode == "exact":
-                per_layer.append(float(exact_logdet(lay.params, h)))
-            elif mode == "unbiased":
-                sample = roulette_logdet(lay.params, h, cfg, rng)
-                per_layer.append(sample.value)
-                meta.append(sample)
-            else:
-                sample = biased_truncated_logdet(lay.params, h, cfg, rng)
-                per_layer.append(sample.value)
-                meta.append(sample)
-            h = lay.forward(h)
-    base = float(base_log_density(h))
-    result = LogDensityResult(
-        logp=base + float(sum(per_layer)),
-        base_logp=base,
-        per_layer_logdet=per_layer,
-        estimator_meta=meta,
-    )
-    return h, result
-
-
 def log_density_batch(
     model: FlowModel,
     X: np.ndarray,
@@ -271,9 +203,12 @@ def log_density_batch(
     cfg: EstimatorConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Vectorized density evaluation over rows of ``X``.
+    """Density evaluation over rows of ``X``.
 
-    Returns (transformed points, per-row log density in nats, mean number
+    ``mode`` selects the per-block log-determinant route: ``exact``
+    (dense oracle, small d), ``unbiased`` (roulette estimate) or
+    ``biased`` (fixed truncation); stochastic modes need ``cfg`` and
+    ``rng``.  Returns (transformed points, per-row log density in nats, mean number
     of series terms per residual block and row; 0.0 in exact mode).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))

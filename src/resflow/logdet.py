@@ -2,25 +2,23 @@
 
 For a contractive branch the log-determinant expands into the alternating
 trace series ``sum_k (-1)^(k+1)/k tr(J^k)``, with traces estimated by the
-Skilling-Hutchinson identity ``tr(A) = E[v^T A v]``.  Three evaluation
-routes are implemented, plus dense small-dimension oracles that every
-stochastic route is tested against:
+Skilling-Hutchinson identity ``tr(A) = E[v^T A v]``.  Every stochastic
+route is :func:`_draw` (all probes, then all truncations: ``n_exact``
+terms plus a geometric tail reweighted by inverse survival probabilities,
+Residual Flows arXiv:1906.02735 §3.1, or a fixed ``n_fixed`` terms,
+i-ResNet arXiv:1811.00995) and one of two term loops.  :func:`_series`
+returns per-row values and the Neumann cotangent ``w`` (§3.2), whose
+bilinear form ``w^T J_g v`` has the unbiased log-det gradient; nothing
+differentiates through the accumulation, so retained storage does not
+grow with the truncation.  :func:`_differentiated_series` differentiates
+every term and keeps both chains: storage linear in the truncation.
 
-* ``biased_truncated_logdet``  -- fixed truncation after ``n_fixed`` terms;
-  cheap, deterministic in its seeds, but biased (bias grows with Lip(g)).
-* ``roulette_logdet``          -- the first ``n_exact`` terms at weight 1,
-  then a geometric random truncation with surviving terms reweighted by
-  inverse survival probabilities; unbiased for any contraction.
-* ``neumann_logdet_grad``      -- unbiased parameter gradient that
-  accumulates a single running cotangent ``w = sum_k c_k (J^T)^k v`` and
-  feeds it to one bilinear-form gradient.  Nothing differentiates through
-  the accumulation, so retained storage does not grow with the sampled
-  truncation.
-* ``naive_series_grad``        -- differentiates every series term; kept
-  as the baseline whose retained storage grows linearly in the
-  truncation.
-
-Values are in nats throughout.
+Entry points: values per row (``*_logdet_rows``) or at one point
+(``*_logdet_batch``); training value and gradient per row
+(``roulette_value_and_neumann_grad_rows``, ``biased_value_and_grad_rows``);
+single-point gradients (``neumann_logdet_grad``, ``neumann_grad_samples``,
+``neumann_grad_exact_trace``, ``naive_series_grad``); and the dense
+oracles every route is tested against.  Values are in nats throughout.
 """
 
 from __future__ import annotations
@@ -57,13 +55,10 @@ class RouletteDist:
     function ``P(N >= k) = (1-q)^(k-1)``.
     """
 
-    kind: str = "geometric"
     q: float = 0.5
     n_exact: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind != "geometric":
-            raise ValueError(f"unsupported roulette distribution {self.kind!r}")
         if not (0.0 < self.q < 1.0):
             raise ValueError(f"q must lie in (0, 1), got {self.q}")
         if self.n_exact < 0:
@@ -95,29 +90,6 @@ class EstimatorConfig:
             raise ValueError("n_hutchinson must be >= 1")
         if self.n_fixed < 1:
             raise ValueError("n_fixed must be >= 1")
-
-
-@dataclass
-class TangentSeed:
-    direction: np.ndarray
-    rng_stream_id: int
-
-
-@dataclass
-class LogDetSample:
-    """One stochastic log-determinant estimate plus its bookkeeping."""
-
-    value: float
-    n_terms_evaluated: int
-    seeds: list[TangentSeed]
-    per_term: list[float] | None = None
-
-
-def draw_probe(rng: np.random.Generator, d: int, dist: str, size: int | None = None):
-    shape = (d,) if size is None else (size, d)
-    if dist == "gaussian":
-        return rng.standard_normal(shape)
-    return rng.choice(np.array([-1.0, 1.0]), size=shape)
 
 
 # -- dense oracles -----------------------------------------------------------
@@ -160,6 +132,21 @@ def exact_series_logdet(
     )
 
 
+def biased_logdet_exact_trace_rows(params: BlockParams, X: np.ndarray, n_fixed: int) -> np.ndarray:
+    """Expected value of the fixed-truncation estimator at each row.
+
+    Exact traces make the Hutchinson noise vanish, leaving only the
+    truncation bias; this is the deterministic 'what the biased objective
+    is really optimizing' oracle.
+    """
+    jac = block_dense_jacobian(params, np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    total, power = 0.0, jac
+    for c in _coefficients(n_fixed)[0]:
+        total = total + c * np.trace(power, axis1=1, axis2=2)
+        power = power @ jac
+    return total
+
+
 def exact_logdet_grad(
     params: BlockParams,
     x: np.ndarray,
@@ -194,176 +181,149 @@ def exact_logdet_grad(
     return grads
 
 
-# -- shared series machinery -------------------------------------------------
+# -- the series engine -------------------------------------------------------
 
 
-def _roulette_coefficients(dist: RouletteDist, kmax: int) -> np.ndarray:
-    """Series weights c_k = (-1)^(k+1)/k, tail-reweighted, for k = 1..kmax."""
+def _coefficients(kmax: int, dist: RouletteDist | None = None):
+    """Weights of log-det terms k = 1..kmax and of their derivatives.
+
+    Values ``c_k = (-1)^(k+1)/k``; the Neumann term k - 1, the derivative
+    of log-det term k, takes ``b_(k-1) = (-1)^(k+1)``.  Given ``dist``,
+    terms past ``n_exact`` are divided by ``P(N >= k - n_exact)``.
+    """
     k = np.arange(1, kmax + 1, dtype=np.float64)
-    coef = ((-1.0) ** (k + 1)) / k
-    tail = k > dist.n_exact
-    coef[tail] /= dist.survival(k[tail] - dist.n_exact)
-    return coef
+    sign = (-1.0) ** (k + 1)
+    values, grads = sign / k, sign
+    if dist is not None:
+        tail = k > dist.n_exact
+        survival = dist.survival(k[tail] - dist.n_exact)
+        values[tail] /= survival
+        grads[tail] /= survival
+    return values, grads
 
 
-def _truncated_coefficients(kmax: int) -> np.ndarray:
-    k = np.arange(1, kmax + 1, dtype=np.float64)
-    return ((-1.0) ** (k + 1)) / k
+def _draw(rng, d: int, cfg: EstimatorConfig, rows: int, biased=False, force_n=None):
+    """Probes for all ``rows``, then all truncations ``K``, and the weights.
 
-
-def _neumann_coefficients(dist: RouletteDist, kmax: int) -> np.ndarray:
-    """Weights b_k for w = sum_{k=0}^{kmax} b_k (J^T)^k v.
-
-    The Neumann gradient series term k is the derivative of log-det series
-    term k+1, so its roulette weight is the one of that parent term:
-    weight 1 for k <= n_exact - 1, inverse survival afterwards.
+    Biased draws stop every row at ``n_fixed``; ``force_n`` fixes the
+    roulette tail length instead of sampling it.
     """
-    k = np.arange(0, kmax + 1, dtype=np.float64)
-    coef = (-1.0) ** k
-    tail = k > dist.n_exact - 1
-    coef[tail] /= dist.survival(k[tail] - (dist.n_exact - 1))
-    return coef
-
-
-def _active_slopes(cache: BlockCache, rows: np.ndarray) -> list[np.ndarray]:
-    """The slopes of ``rows``, gathered once in that order.
-
-    Slopes are all the JVP/VJP chain reads, so a series loop sorted by
-    truncation slices prefixes of these instead of copying whole caches.
-    A single-point cache is kept as it is: it broadcasts against any rows.
-    """
-    if cache.inputs[0].shape[0] == 1:
-        return cache.slope
-    return [s[rows] for s in cache.slope]
-
-
-def _prefix(slopes: list[np.ndarray], m: int) -> BlockCache:
-    """The chain's cache for the first ``m`` active rows."""
-    return BlockCache(inputs=[], pre=[], slope=[s[:m] for s in slopes], betas=[])
-
-
-def _series_values_batch(
-    params: BlockParams,
-    x: np.ndarray,
-    v: np.ndarray,
-    n_terms: np.ndarray,
-    coefs: np.ndarray,
-    point_of_row: np.ndarray | None = None,
-) -> np.ndarray:
-    """Evaluate sum_{k<=K_i} coefs[k-1] * v_i^T J^k v_i for each row i.
-
-    ``x`` is either a single point shared by every row of ``v``, a batch
-    aligned with it, or, with ``point_of_row``, the distinct points that
-    row i reads as ``x[point_of_row[i]]``; the block forward runs once per
-    point.  Rows are processed sorted by descending truncation so the
-    active set is always a prefix slice.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    _, cache = block_forward_cache(params, x[None, :] if x.ndim == 1 else x)
-    n = v.shape[0]
-    order = np.argsort(-n_terms, kind="stable")
-    ks = n_terms[order]
-    vs = v[order]
-    slopes = _active_slopes(cache, order if point_of_row is None else point_of_row[order])
-    values = np.zeros(n)
-    cur = vs
-    for k in range(1, (int(ks[0]) if n else 0) + 1):
-        m = int(np.searchsorted(-ks, -k, side="right"))
-        cur = block_jvp(params, None, cur[:m], cache=_prefix(slopes, m))
-        values[:m] += coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
-    out = np.empty(n)
-    out[order] = values
-    return out
-
-
-# -- log-det estimators ------------------------------------------------------
-
-
-def biased_truncated_logdet(
-    params: BlockParams,
-    x: np.ndarray,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-    exact_traces: bool = False,
-) -> LogDetSample:
-    """Fixed-truncation estimate: first ``n_fixed`` terms, no reweighting.
-
-    Deterministic given the drawn probe vectors.  The missing tail makes
-    it biased, and the bias grows with the contraction strength of the
-    branch.  With ``exact_traces`` the Hutchinson probes are replaced by
-    exact dense traces (the truncation bias remains).
-    """
-    n_fixed = cfg.n_fixed
-    if exact_traces:
-        jac = block_dense_jacobian(params, x)
-        coefs = _truncated_coefficients(n_fixed)
-        total, power = 0.0, jac.copy()
-        for k in range(1, n_fixed + 1):
-            total += coefs[k - 1] * np.trace(power)
-            if k < n_fixed:
-                power = power @ jac
-        return LogDetSample(value=float(total), n_terms_evaluated=n_fixed, seeds=[])
-
-    d = params.dim
-    coefs = _truncated_coefficients(n_fixed)
-    seeds = [
-        TangentSeed(direction=draw_probe(rng, d, cfg.hutchinson_dist), rng_stream_id=i)
-        for i in range(cfg.n_hutchinson)
-    ]
-    v = np.stack([s.direction for s in seeds])
-    k_arr = np.full(v.shape[0], n_fixed)
-    vals = _series_values_batch(params, x, v, k_arr, coefs)
-    return LogDetSample(
-        value=float(vals.mean()),
-        n_terms_evaluated=n_fixed * cfg.n_hutchinson,
-        seeds=seeds,
-    )
-
-
-def roulette_logdet(
-    params: BlockParams,
-    x: np.ndarray,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-    force_n: int | None = None,
-) -> LogDetSample:
-    """Unbiased log-det estimate by geometric randomized truncation.
-
-    Evaluates the ``n_exact`` leading terms at weight 1, draws the tail
-    length n from the geometric law, and reweights tail term j by the
-    inverse survival probability 1/P(N >= j).  A single probe vector is
-    shared by all terms within one draw.  The expectation over (n, v)
-    equals the exact log-determinant; expected work is
-    ``n_exact + 1/q`` series terms per draw.
-    """
+    if cfg.hutchinson_dist == "gaussian":
+        v = rng.standard_normal((rows, d))
+    else:
+        v = rng.choice(np.array([-1.0, 1.0]), size=(rows, d))
+    if biased:
+        return v, np.full(rows, cfg.n_fixed, dtype=np.int64), _coefficients(cfg.n_fixed)
     dist = cfg.roulette
-    d = params.dim
-    _, cache = block_forward_cache(params, x)
-    total = 0.0
-    total_terms = 0
-    seeds: list[TangentSeed] = []
-    per_term: list[float] = []
-    for i in range(cfg.n_hutchinson):
-        v = draw_probe(rng, d, cfg.hutchinson_dist)
-        seeds.append(TangentSeed(direction=v, rng_stream_id=i))
-        n_tail = int(dist.sample(rng)) if force_n is None else int(force_n)
-        kmax = dist.n_exact + n_tail
-        coefs = _roulette_coefficients(dist, kmax)
-        cur = v
-        est = 0.0
-        for k in range(1, kmax + 1):
-            cur = block_jvp(params, x, cur, cache=cache)
-            term = coefs[k - 1] * float(v @ cur)
-            per_term.append(term)
-            est += term
-        total += est
-        total_terms += kmax
-    return LogDetSample(
-        value=total / cfg.n_hutchinson,
-        n_terms_evaluated=total_terms,
-        seeds=seeds,
-        per_term=per_term,
-    )
+    n_tail = dist.sample(rng, size=rows) if force_n is None else np.full(rows, force_n)
+    K = dist.n_exact + n_tail
+    return v, K, _coefficients(int(K.max()), dist)
+
+
+def _series(params, cache: BlockCache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
+    """The one loop over series terms: per-row values and Neumann cotangent.
+
+    Row i reads probe ``v[i]``, truncation ``K[i]`` and the point
+    ``point_of_row[i]`` of ``cache`` (row i without it; a one-point cache
+    is shared by every row).  Returns ``(values, w)`` with
+
+        values[i] = sum_{k=1}^{K_i}   val_coefs[k-1]  v_i^T J^k v_i
+        w[i]      = sum_{k=0}^{K_i-1} grad_coefs[k]   (J^T)^k v_i,
+
+    each None when its weights are.  Rows run sorted by descending
+    truncation, so the active rows are a prefix.  The chain steps with
+    ``block_vjp`` when it accumulates ``w``, else with ``block_jvp``.
+    """
+    order = np.argsort(-K, kind="stable")
+    ks, vs = K[order], v[order]
+    # the chain reads slopes alone: gather them once in sorted order and
+    # slice prefixes, not whole caches; a one-point cache broadcasts as is
+    rows = order if point_of_row is None else point_of_row[order]
+    slopes = cache.slope if len(cache.inputs[0]) == 1 else [s[rows] for s in cache.slope]
+    step = block_jvp if grad_coefs is None else block_vjp
+    # row i needs K_i chain steps for its value, K_i - 1 for its cotangent
+    steps = ks if val_coefs is not None else ks - 1
+    values = None if val_coefs is None else np.zeros(v.shape[0])
+    w = None if grad_coefs is None else grad_coefs[0] * vs
+    cur = vs
+    for k in range(1, int(steps.max(initial=0)) + 1):
+        m = int(np.searchsorted(-steps, -k, side="right"))
+        prefix = BlockCache(inputs=[], pre=[], slope=[s[:m] for s in slopes], betas=[])
+        cur = step(params, None, cur[:m], cache=prefix)
+        if values is not None:
+            values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
+        if w is not None and k < len(grad_coefs):
+            m_grad = int(np.searchsorted(-ks, -(k + 1), side="right"))
+            w[:m_grad] += grad_coefs[k] * cur[:m_grad]
+    rank = np.argsort(order)  # the sorted position of every row
+    return (None if values is None else values[rank]), (None if w is None else w[rank])
+
+
+def _differentiated_series(params, x, v, coefs, cache: BlockCache, meter=None):
+    """Per-row values of ``sum_k coefs[k-1] v_i^T J^k v_i``, and its gradients.
+
+    ``d(v^T J^k v)/dtheta`` expands into k bilinear forms pairing the
+    forward chain ``J^j v`` with the backward chain ``(J^T)^m v``; both
+    chains are kept until the sweep finishes (and reported to ``meter``),
+    so retained storage grows linearly in the truncation.
+    """
+    n_terms = len(coefs)
+    forward = RetainedList(meter)  # J^j v, j = 0..n-1
+    backward = RetainedList(meter)  # (J^T)^m v
+    forward.append(v)
+    backward.append(v)
+    for _ in range(1, n_terms):
+        forward.append(block_jvp(params, x, forward[-1], cache=cache))
+        backward.append(block_vjp(params, x, backward[-1], cache=cache))
+    last = block_jvp(params, x, forward[-1], cache=cache)
+    values = coefs @ np.stack([np.einsum("ij,ij->i", v, f) for f in forward[1:] + [last]])
+    grads = BlockGrads.zeros_like(params)
+    input_grad = np.zeros(v.shape)
+    for m in range(n_terms):
+        weighted = np.zeros_like(v)
+        for j in range(n_terms - m):
+            weighted += coefs[m + j] * forward[j]
+        g, ig = bilinear_param_grad(
+            params, x, backward[m], weighted, cache=cache, want_input_grad=True
+        )
+        grads.add_(g)
+        input_grad += ig
+    forward.drop_all()
+    backward.drop_all()
+    return values, grads, input_grad
+
+
+def _point_means(a: np.ndarray, n: int, nh: int) -> np.ndarray:
+    """Average each point's ``nh`` consecutive probe rows."""
+    return a.reshape(n, nh, *a.shape[1:]).mean(axis=1)
+
+
+# -- estimators --------------------------------------------------------------
+
+
+def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None):
+    """``n`` estimates, each the mean of ``n_hutchinson`` draws, at row j of
+    ``X`` or at its only row: (values, total series terms)."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    nh = cfg.n_hutchinson
+    v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased, force_n)
+    _, cache = block_forward_cache(params, X)
+    values, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(n * nh) // nh)
+    return _point_means(values, n, nh), K.reshape(n, nh).sum(axis=1)
+
+
+def roulette_logdet_rows(
+    params: BlockParams, X: np.ndarray, cfg: EstimatorConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One unbiased estimate per row of ``X``: (values, series terms per row)."""
+    return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)))
+
+
+def biased_logdet_rows(
+    params: BlockParams, X: np.ndarray, cfg: EstimatorConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One fixed-truncation estimate per row of ``X``."""
+    return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)), biased=True)
 
 
 def roulette_logdet_batch(
@@ -374,87 +334,9 @@ def roulette_logdet_batch(
     n_samples: int,
     force_n: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Monte-Carlo replication of :func:`roulette_logdet`.
-
-    Returns per-estimate values and per-estimate total series terms, for
-    ``n_samples`` independent estimates at a fixed point ``x``.
-    """
-    dist = cfg.roulette
-    draws = n_samples * cfg.n_hutchinson
-    v = draw_probe(rng, params.dim, cfg.hutchinson_dist, size=draws)
-    if force_n is None:
-        n_tail = dist.sample(rng, size=draws)
-    else:
-        n_tail = np.full(draws, force_n, dtype=np.int64)
-    k_arr = dist.n_exact + n_tail
-    coefs = _roulette_coefficients(dist, int(k_arr.max()))
-    vals = _series_values_batch(params, x, v, k_arr, coefs)
-    vals = vals.reshape(n_samples, cfg.n_hutchinson).mean(axis=1)
-    terms = k_arr.reshape(n_samples, cfg.n_hutchinson).sum(axis=1)
-    return vals, terms
-
-
-def roulette_logdet_rows(
-    params: BlockParams,
-    X: np.ndarray,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One independent unbiased estimate per row of ``X``.
-
-    Returns per-row values and per-row total series terms.  Used by the
-    flow's estimator-mode density evaluation.
-    """
-    dist = cfg.roulette
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    nh = cfg.n_hutchinson
-    v = draw_probe(rng, params.dim, cfg.hutchinson_dist, size=n * nh)
-    n_tail = dist.sample(rng, size=n * nh)
-    k_arr = dist.n_exact + n_tail
-    coefs = _roulette_coefficients(dist, int(k_arr.max()))
-    vals = _series_values_batch(params, X, v, k_arr, coefs, np.arange(n * nh) // nh)
-    vals = vals.reshape(n, nh).mean(axis=1)
-    terms = k_arr.reshape(n, nh).sum(axis=1)
-    return vals, terms
-
-
-def biased_logdet_rows(
-    params: BlockParams,
-    X: np.ndarray,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed-truncation estimate per row of ``X``."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    nh = cfg.n_hutchinson
-    v = draw_probe(rng, params.dim, cfg.hutchinson_dist, size=n * nh)
-    k_arr = np.full(n * nh, cfg.n_fixed, dtype=np.int64)
-    coefs = _truncated_coefficients(cfg.n_fixed)
-    vals = _series_values_batch(params, X, v, k_arr, coefs, np.arange(n * nh) // nh)
-    vals = vals.reshape(n, nh).mean(axis=1)
-    terms = k_arr.reshape(n, nh).sum(axis=1)
-    return vals, terms
-
-
-def biased_logdet_exact_trace_rows(params: BlockParams, X: np.ndarray, n_fixed: int) -> np.ndarray:
-    """Expected value of the fixed-truncation estimator at each row.
-
-    Exact traces make the Hutchinson noise vanish, leaving only the
-    truncation bias; this is the deterministic 'what the biased objective
-    is really optimizing' oracle.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    jac = block_dense_jacobian(params, X)
-    coefs = _truncated_coefficients(n_fixed)
-    total = np.zeros(X.shape[0])
-    power = jac.copy()
-    for k in range(1, n_fixed + 1):
-        total += coefs[k - 1] * np.trace(power, axis1=1, axis2=2)
-        if k < n_fixed:
-            power = power @ jac
-    return total
+    """``n_samples`` unbiased estimates at one point: (values, series terms).
+    Expected work is ``n_exact + 1/q`` terms; ``force_n`` fixes the tail."""
+    return _logdet_values(params, x, cfg, rng, n_samples, force_n=force_n)
 
 
 def biased_logdet_batch(
@@ -464,18 +346,9 @@ def biased_logdet_batch(
     rng: np.random.Generator,
     n_samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Monte-Carlo replication of :func:`biased_truncated_logdet`."""
-    draws = n_samples * cfg.n_hutchinson
-    v = draw_probe(rng, params.dim, cfg.hutchinson_dist, size=draws)
-    k_arr = np.full(draws, cfg.n_fixed, dtype=np.int64)
-    coefs = _truncated_coefficients(cfg.n_fixed)
-    vals = _series_values_batch(params, x, v, k_arr, coefs)
-    vals = vals.reshape(n_samples, cfg.n_hutchinson).mean(axis=1)
-    terms = k_arr.reshape(n_samples, cfg.n_hutchinson).sum(axis=1)
-    return vals, terms
-
-
-# -- gradient estimators -----------------------------------------------------
+    """``n_samples`` fixed-truncation estimates at one point: (values, terms).
+    Deterministic given the probes, but biased; the bias grows with Lip(g)."""
+    return _logdet_values(params, x, cfg, rng, n_samples, biased=True)
 
 
 def neumann_logdet_grad(
@@ -487,45 +360,25 @@ def neumann_logdet_grad(
     meter: StorageMeter | None = None,
     want_input_grad: bool = False,
 ):
-    """Unbiased gradient of log det(I + J_g(x)) via the Neumann cotangent.
+    """Unbiased gradient of log det(I + J_g(x)) at one point.
 
-    Accumulates ``w^T = sum_k c_k v^T J^k`` by repeated vector-Jacobian
-    products without differentiating through the accumulation, then takes
-    the gradient of the single bilinear form ``w^T J_g(x) v``.  Only the
-    probe, the running product, and the accumulated cotangent are held
-    while the series runs, so retained storage is independent of the
-    sampled truncation.
+    The gradient of ``w^T J_g(x) v`` averaged over ``n_hutchinson``
+    probes, ``w`` the Neumann cotangent of ``v``.  Only the probes, the
+    running product and ``w`` are held while the series runs, so retained
+    storage is independent of the sampled truncation.
     """
-    dist = cfg.roulette
-    d = params.dim
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _, cache = block_forward_cache(params, x)
-    if meter is not None:
-        # forward intermediates: inputs, pre-activations, slopes
-        meter.retain(len(cache.inputs) + len(cache.pre) + len(cache.slope))
-    grads = BlockGrads.zeros_like(params)
-    input_grad = np.zeros(d)
-    for i in range(cfg.n_hutchinson):
-        v = draw_probe(rng, d, cfg.hutchinson_dist)
-        n_tail = int(dist.sample(rng)) if force_n is None else int(force_n)
-        kmax = dist.n_exact + n_tail - 1
-        coefs = _neumann_coefficients(dist, kmax)
-        if meter is not None:
-            meter.retain(3)  # v, running product, accumulated cotangent
-        cur = v
-        w = coefs[0] * v
-        for k in range(1, kmax + 1):
-            cur = block_vjp(params, x, cur, cache=cache)
-            w = w + coefs[k] * cur
-        g, ig = bilinear_param_grad(params, x, w, v, cache=cache, want_input_grad=True)
-        grads.add_(g, scale=1.0 / cfg.n_hutchinson)
-        input_grad += ig[0] / cfg.n_hutchinson
-        if meter is not None:
-            meter.release(3)
-    if meter is not None:
-        meter.release(len(cache.inputs) + len(cache.pre) + len(cache.slope))
-    if want_input_grad:
-        return grads, input_grad
-    return grads
+    # forward intermediates; probes, running product, accumulated cotangent
+    held = len(cache.inputs) + len(cache.pre) + len(cache.slope) + 3
+    meter = meter or StorageMeter()
+    meter.retain(held)
+    v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, cfg.n_hutchinson, force_n=force_n)
+    _, w = _series(params, cache, v, K, None, grad_coefs)
+    grads, input_grad = bilinear_param_grad(params, x, w, v, cache=cache, want_input_grad=True)
+    grads.scale_(1.0 / cfg.n_hutchinson)
+    meter.release(held)
+    return (grads, input_grad.mean(axis=0)) if want_input_grad else grads
 
 
 def naive_series_grad(
@@ -536,12 +389,9 @@ def naive_series_grad(
     meter: StorageMeter | None = None,
     want_input_grad: bool = False,
 ):
-    """Gradient by differentiating each truncated series term.
+    """Gradient of the truncated series at one point, every term differentiated.
 
-    ``d(v^T J^k v)/dtheta`` expands into k bilinear forms pairing the
-    forward chain ``J^j v`` with the backward chain ``(J^T)^m v``; both
-    chains must be kept in memory until the sweep finishes, so retained
-    storage grows linearly in ``n_terms`` by construction.  With
+    The linear-storage baseline of :func:`neumann_logdet_grad`.  With
     ``v=None`` exact traces are used (probe loops over the basis),
     making this the exact-trace differentiated series.
     """
@@ -552,43 +402,15 @@ def naive_series_grad(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise GuardError("naive series gradient takes a single point")
-    d = params.dim
     _, cache = block_forward_cache(params, x)
-    if meter is not None:
-        meter.retain(len(cache.inputs) + len(cache.pre) + len(cache.slope))
-
-    if v is None:
-        probes = np.eye(d)
-    else:
-        probes = np.asarray(v, dtype=np.float64)[None, :]
-
-    coefs = _truncated_coefficients(n_terms)
-    forward = RetainedList(meter)  # J^j applied to every probe, j = 0..n-1
-    backward = RetainedList(meter)  # (J^T)^m applied to every probe
-    forward.append(probes)
-    backward.append(probes)
-    for _ in range(1, n_terms):
-        forward.append(block_jvp(params, x, forward[-1], cache=cache))
-        backward.append(block_vjp(params, x, backward[-1], cache=cache))
-
-    grads = BlockGrads.zeros_like(params)
-    input_grad = np.zeros(d)
-    for m in range(n_terms):
-        weighted = np.zeros_like(probes)
-        for j in range(n_terms - m):
-            weighted += coefs[m + j] * forward[j]
-        g, ig = bilinear_param_grad(
-            params, x, backward[m], weighted, cache=cache, want_input_grad=True
-        )
-        grads.add_(g)
-        input_grad += ig.sum(axis=0)
-    forward.drop_all()
-    backward.drop_all()
-    if meter is not None:
-        meter.release(len(cache.inputs) + len(cache.pre) + len(cache.slope))
-    if want_input_grad:
-        return grads, input_grad
-    return grads
+    held = len(cache.inputs) + len(cache.pre) + len(cache.slope)
+    meter = meter or StorageMeter()
+    meter.retain(held)
+    probes = np.eye(params.dim) if v is None else np.asarray(v, dtype=np.float64)[None, :]
+    coefs, _ = _coefficients(n_terms)
+    _, grads, input_grad = _differentiated_series(params, x, probes, coefs, cache, meter)
+    meter.release(held)
+    return (grads, input_grad.sum(axis=0)) if want_input_grad else grads
 
 
 def neumann_grad_exact_trace(params: BlockParams, x: np.ndarray, n_terms: int) -> BlockGrads:
@@ -600,148 +422,11 @@ def neumann_grad_exact_trace(params: BlockParams, x: np.ndarray, n_terms: int) -
     """
     if n_terms < 1:
         raise GuardError("need at least one term")
-    d = params.dim
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _, cache = block_forward_cache(params, x)
-    probes = np.eye(d)
-    grads = BlockGrads.zeros_like(params)
-    cur = probes
-    for k in range(n_terms):
-        if k > 0:
-            cur = block_vjp(params, x, cur, cache=cache)
-        grads.add_(bilinear_param_grad(params, x, cur, probes, cache=cache), scale=(-1.0) ** k)
-    return grads
-
-
-def roulette_value_and_neumann_grad_rows(
-    params: BlockParams,
-    X: np.ndarray,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-    cache: BlockCache | None = None,
-    out_cot: np.ndarray | None = None,
-):
-    """Training-time combined estimator for a batch of points.
-
-    Per row draws one (probe, truncation) pair shared by the value and the
-    gradient: a single vector-Jacobian chain yields both the reweighted
-    log-det terms ``v^T J^k v`` and the Neumann cotangent ``w``.  Returns
-    (values, terms, parameter gradient summed over rows, per-row input
-    gradient).  With ``out_cot``, a cotangent of the block output per row,
-    both gradients are those of ``sum_i logdet_i + out_cot_i . g(x_i)``:
-    the pathwise term rides the bilinear form's reverse pass.  With
-    ``n_hutchinson > 1`` rows are repeated and the estimates averaged.
-    """
-    dist = cfg.roulette
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    nh = cfg.n_hutchinson
-    if nh > 1 or cache is None:
-        x_rep = np.repeat(X, nh, axis=0) if nh > 1 else X
-        _, cache = block_forward_cache(params, x_rep)
-    else:
-        x_rep = X
-    rows = n * nh
-    d = params.dim
-    v = draw_probe(rng, d, cfg.hutchinson_dist, size=rows)
-    n_tail = dist.sample(rng, size=rows)
-    k_arr = dist.n_exact + n_tail
-    kmax = int(k_arr.max())
-    val_coefs = _roulette_coefficients(dist, kmax)
-    grad_coefs = _neumann_coefficients(dist, kmax - 1)
-
-    order = np.argsort(-k_arr, kind="stable")
-    ks = k_arr[order]
-    vs = v[order]
-    slopes = _active_slopes(cache, order)
-    values = np.zeros(rows)
-    w = grad_coefs[0] * vs
-    cur = vs
-    for k in range(1, kmax + 1):
-        m = int(np.searchsorted(-ks, -k, side="right"))
-        cur = block_vjp(params, None, cur[:m], cache=_prefix(slopes, m))
-        values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
-        # Neumann term k is the derivative of log-det term k + 1: only rows
-        # whose truncation reaches k + 1 keep it
-        if k < kmax:
-            m_grad = int(np.searchsorted(-ks, -(k + 1), side="right"))
-            w[:m_grad] += grad_coefs[k] * cur[:m_grad]
-    del slopes  # dead before the reverse pass allocates its own rows
-    vals_out = np.empty(rows)
-    vals_out[order] = values
-    w_out = np.empty_like(w)
-    w_out[order] = w
-
-    if out_cot is not None and nh > 1:
-        out_cot = np.repeat(out_cot, nh, axis=0)
-    grads, input_grad = bilinear_param_grad(
-        params, x_rep, w_out, v, cache=cache, want_input_grad=True, out_cot=out_cot
-    )
-    if nh > 1:
-        grads.scale_(1.0 / nh)
-        input_grad = input_grad.reshape(n, nh, d).mean(axis=1)
-        vals_out = vals_out.reshape(n, nh).mean(axis=1)
-        terms = k_arr.reshape(n, nh).sum(axis=1)
-    else:
-        terms = k_arr
-    return vals_out, terms, grads, input_grad
-
-
-def biased_value_and_grad_rows(
-    params: BlockParams,
-    X: np.ndarray,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-    cache: BlockCache | None = None,
-):
-    """Training-time fixed-truncation value and gradient for a batch.
-
-    The gradient differentiates each of the ``n_fixed`` retained terms
-    (the linear-memory route); both value and gradient estimate the same
-    biased objective, so training with them optimizes the truncated
-    series rather than the true log density.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
-    nh = cfg.n_hutchinson
-    if nh > 1 or cache is None:
-        x_rep = np.repeat(X, nh, axis=0) if nh > 1 else X
-        _, cache = block_forward_cache(params, x_rep)
-    else:
-        x_rep = X
-    rows = n * nh
-    d = params.dim
-    n_fixed = cfg.n_fixed
-    v = draw_probe(rng, d, cfg.hutchinson_dist, size=rows)
-    coefs = _truncated_coefficients(n_fixed)
-
-    forward = [v]
-    backward = [v]
-    for _ in range(1, n_fixed):
-        forward.append(block_jvp(params, x_rep, forward[-1], cache=cache))
-        backward.append(block_vjp(params, x_rep, backward[-1], cache=cache))
-    last = block_jvp(params, x_rep, forward[-1], cache=cache)
-    series = np.stack([np.einsum("ij,ij->i", v, f) for f in forward[1:] + [last]])
-    values = coefs @ series
-
-    grads = BlockGrads.zeros_like(params)
-    input_grad = np.zeros((rows, d))
-    for m in range(n_fixed):
-        weighted = np.zeros_like(v)
-        for j in range(n_fixed - m):
-            weighted += coefs[m + j] * forward[j]
-        g, ig = bilinear_param_grad(
-            params, x_rep, backward[m], weighted, cache=cache, want_input_grad=True
-        )
-        grads.add_(g)
-        input_grad += ig
-    if nh > 1:
-        grads.scale_(1.0 / nh)
-        input_grad = input_grad.reshape(n, nh, d).mean(axis=1)
-        values = values.reshape(n, nh).mean(axis=1)
-        terms = np.full(n, n_fixed * nh, dtype=np.int64)
-    else:
-        terms = np.full(n, n_fixed, dtype=np.int64)
-    return values, terms, grads, input_grad
+    probes, K = np.eye(params.dim), np.full(params.dim, n_terms)
+    _, w = _series(params, cache, probes, K, None, _coefficients(n_terms)[1])
+    return bilinear_param_grad(params, x, w, probes, cache=cache)
 
 
 def neumann_grad_samples(
@@ -754,48 +439,82 @@ def neumann_grad_samples(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Monte-Carlo mean and standard error of the Neumann gradient.
 
-    Vectorized replication for the unbiasedness tests: returns per-
-    coordinate mean, per-coordinate standard error of the mean, and the
-    average number of series terms per estimate.  Intended for small
-    blocks (materializes per-sample gradients chunk by chunk).
+    For the unbiasedness tests: per-coordinate mean and standard error of
+    the mean, and the average series terms per estimate.  For small blocks
+    (materializes per-sample gradients chunk by chunk).
     """
-    dist = cfg.roulette
-    d = params.dim
-    x = np.asarray(x, dtype=np.float64)
-    _, cache = block_forward_cache(params, x[None, :])
-    total = None
-    total_sq = None
-    terms_total = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        v = draw_probe(rng, d, cfg.hutchinson_dist, size=m)
-        n_tail = dist.sample(rng, size=m)
-        kmax_each = dist.n_exact + n_tail - 1
-        order = np.argsort(-kmax_each, kind="stable")
-        ks = kmax_each[order]
-        vs = v[order]
-        coefs = _neumann_coefficients(dist, int(ks[0]))
-        w = coefs[0] * vs
-        cur = vs
-        for k in range(1, int(ks[0]) + 1):
-            active = int(np.searchsorted(-ks, -k, side="right"))
-            if active < cur.shape[0]:
-                cur = cur[:active]
-            cur = block_vjp(params, x[None, :], cur, cache=cache)
-            w[:active] += coefs[k] * cur
-        w_unsorted = np.empty_like(w)
-        w_unsorted[order] = w
-        g = bilinear_param_grad_per_sample(params, x[None, :], w_unsorted, v, cache=cache)
-        if total is None:
-            total = g.sum(axis=0)
-            total_sq = (g * g).sum(axis=0)
-        else:
-            total += g.sum(axis=0)
-            total_sq += (g * g).sum(axis=0)
-        terms_total += float(np.sum(dist.n_exact + n_tail))
-        done += m
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    _, cache = block_forward_cache(params, x)
+    total = total_sq = terms_total = 0.0
+    for done in range(0, n_samples, chunk):
+        v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, min(chunk, n_samples - done))
+        _, w = _series(params, cache, v, K, None, grad_coefs)
+        g = bilinear_param_grad_per_sample(params, x, w, v, cache=cache)
+        total = total + g.sum(axis=0)
+        total_sq = total_sq + (g * g).sum(axis=0)
+        terms_total += float(K.sum())
     mean = total / n_samples
     var = np.maximum(total_sq / n_samples - mean**2, 0.0)
-    se = np.sqrt(var / n_samples)
-    return mean, se, terms_total / n_samples
+    return mean, np.sqrt(var / n_samples), terms_total / n_samples
+
+
+def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False):
+    """Per-row values and terms, summed parameter and per-row input gradients."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n, nh = X.shape[0], cfg.n_hutchinson
+    if nh > 1:
+        # the reverse pass reads one cache row per probe row
+        X, cache = np.repeat(X, nh, axis=0), None
+        out_cot = None if out_cot is None else np.repeat(out_cot, nh, axis=0)
+    if cache is None:
+        _, cache = block_forward_cache(params, X)
+    v, K, coefs = _draw(rng, params.dim, cfg, n * nh, biased)
+    if biased:
+        values, grads, input_grad = _differentiated_series(params, X, v, coefs[0], cache)
+    else:
+        values, w = _series(params, cache, v, K, *coefs)
+        grads, input_grad = bilinear_param_grad(
+            params, X, w, v, cache=cache, want_input_grad=True, out_cot=out_cot
+        )
+    grads.scale_(1.0 / nh)
+    terms = K.reshape(n, nh).sum(axis=1)
+    return _point_means(values, n, nh), terms, grads, _point_means(input_grad, n, nh)
+
+
+def roulette_value_and_neumann_grad_rows(
+    params: BlockParams,
+    X: np.ndarray,
+    cfg: EstimatorConfig,
+    rng: np.random.Generator,
+    cache: BlockCache | None = None,
+    out_cot: np.ndarray | None = None,
+):
+    """Training-time unbiased value and gradient for a batch of points.
+
+    Each row's one (probe, truncation) pair serves the value and the
+    gradient: one vector-Jacobian chain yields the reweighted terms
+    ``v^T J^k v`` and the Neumann cotangent ``w``.  Returns (values,
+    terms, parameter gradient summed over rows, per-row input gradient).
+    With ``out_cot``, a cotangent of the block output per row, both
+    gradients are those of ``sum_i logdet_i + out_cot_i . g(x_i)``: the
+    pathwise term rides the bilinear form's reverse pass.  With
+    ``n_hutchinson > 1`` rows are repeated and the estimates averaged.
+    """
+    return _value_and_grad_rows(params, X, cfg, rng, cache, out_cot)
+
+
+def biased_value_and_grad_rows(
+    params: BlockParams,
+    X: np.ndarray,
+    cfg: EstimatorConfig,
+    rng: np.random.Generator,
+    cache: BlockCache | None = None,
+):
+    """Training-time fixed-truncation value and gradient for a batch.
+
+    The gradient differentiates each of the ``n_fixed`` retained terms
+    (the linear-memory route); value and gradient estimate the same biased
+    objective, so training with them optimizes the truncated series
+    rather than the true log density.
+    """
+    return _value_and_grad_rows(params, X, cfg, rng, cache, biased=True)

@@ -189,6 +189,12 @@ def induced_norm_for_layer(
     return est
 
 
+def check_coeff(coeff: float) -> None:
+    """Every block is a contraction only for a coefficient in (0, 1)."""
+    if not (0.0 < coeff < 1.0):
+        raise ValueError(f"lipschitz coefficient must be in (0, 1), got {coeff}")
+
+
 def apply_lipschitz_constraint(
     params: BlockParams,
     coeff: float = 0.98,
@@ -209,8 +215,7 @@ def apply_lipschitz_constraint(
     variables.  A zero norm estimate for a nonzero matrix is treated as a
     bug, not handled silently.
     """
-    if not (0.0 < coeff < 1.0):
-        raise ValueError(f"lipschitz coefficient must be in (0, 1), got {coeff}")
+    check_coeff(coeff)
     params.validate()
     reported = []
     for lay in params.layers:

@@ -85,6 +85,24 @@ class TestTrain:
         assert code == 2
         assert "absent.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "--estimator.q=1.5",
+            "--lipschitz.coeff=1.2",
+            "--train.hidden=0",
+            "--train.batch_size=-1",
+            "--lipschitz.norm_preset=foo",
+            "--train.dataset=moons",
+            "--estimator.n_hutchinson=0",
+            "--estimator.hutchinson=foo",
+        ],
+    )
+    def test_bad_config_value_exits_2_before_writing(self, tmp_path, override):
+        out = tmp_path / "run"
+        assert run_cli("train", "--out-dir", str(out), "--steps", "1", override) == 2
+        assert not out.exists()
+
     def test_unknown_override_exits_2(self, capsys):
         code = run_cli("train", "--train.warp=9")
         assert code == 2

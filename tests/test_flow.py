@@ -12,7 +12,6 @@ from resflow.flow import (
     actnorm_initialize,
     base_log_density,
     build_model,
-    forward,
     inverse,
     log_density_batch,
     sample,
@@ -31,67 +30,56 @@ def random_model(seed=0, n_blocks=4, hidden=24, actnorm=True):
     return model
 
 
+def density_at(model, x, **kw):
+    """Transformed point and log density of one point, as a one-row batch."""
+    z, logp, _ = log_density_batch(model, np.asarray(x, dtype=np.float64)[None, :], **kw)
+    return z[0], logp[0]
+
+
 class TestForward:
     def test_empty_model_is_base_density(self):
         model = FlowModel(dim=2, layers=[])
-        z, res = forward(model, np.zeros(2))
+        z, logp = density_at(model, np.zeros(2))
         np.testing.assert_array_equal(z, np.zeros(2))
-        assert res.logp == pytest.approx(-np.log(2 * np.pi), rel=1e-12)
-        assert res.logp == pytest.approx(-1.83788, abs=5e-6)
+        assert logp == pytest.approx(-np.log(2 * np.pi), rel=1e-12)
+        assert logp == pytest.approx(-1.83788, abs=5e-6)
 
     def test_single_actnorm_affine_change_of_variables(self):
         act = ActNorm(log_scale=np.log(np.array([2.0, 2.0])), shift=np.zeros(2), initialized=True)
         model = FlowModel(dim=2, layers=[act])
-        z, res = forward(model, np.array([1.0, 1.0]))
+        z, logp = density_at(model, np.array([1.0, 1.0]))
         np.testing.assert_allclose(z, [2.0, 2.0], rtol=1e-15)
-        assert res.per_layer_logdet[0] == pytest.approx(2 * np.log(2.0), rel=1e-12)
-        assert res.logp == pytest.approx(base_log_density(z) + 2 * np.log(2.0), rel=1e-12)
-
-    def test_additivity_bookkeeping(self):
-        model = random_model(seed=1)
-        x = np.random.default_rng(2).standard_normal(2)
-        _, res = forward(model, x)
-        assert res.logp == pytest.approx(
-            res.base_logp + sum(res.per_layer_logdet), abs=1e-12
-        )
+        assert logp == pytest.approx(base_log_density(z) + 2 * np.log(2.0), rel=1e-12)
 
     def test_uninitialized_actnorm_raises(self):
         model = build_model(np.random.default_rng(3), n_blocks=1, hidden=8)
         with pytest.raises(InitializationError):
-            forward(model, np.zeros(2))
-
-    def test_estimator_meta_population(self):
-        model = random_model(seed=4, n_blocks=3)
-        cfg = EstimatorConfig()
-        _, res = forward(model, np.zeros(2), mode="unbiased", cfg=cfg, rng=np.random.default_rng(0))
-        assert len(res.estimator_meta) == 3
-        _, res_exact = forward(model, np.zeros(2))
-        assert res_exact.estimator_meta == []
+            density_at(model, np.zeros(2))
 
     def test_estimator_mode_consistent_with_exact(self):
         model = random_model(seed=5, n_blocks=2)
         x = np.array([0.3, -0.8])
-        _, exact = forward(model, x)
+        _, exact = density_at(model, x)
         cfg = EstimatorConfig()
         rng = np.random.default_rng(1)
         X = np.broadcast_to(x, (10_000, 2))
         _, logp, _ = log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=rng)
         se = logp.std(ddof=1) / np.sqrt(len(logp))
-        assert abs(logp.mean() - exact.logp) < 3 * se
+        assert abs(logp.mean() - exact) < 3 * se
 
     def test_batch_consistent_with_single(self):
         model = random_model(seed=6)
         X = np.random.default_rng(7).standard_normal((5, 2))
         _, logp, _ = log_density_batch(model, X)
-        singles = np.array([forward(model, x)[1].logp for x in X])
+        singles = np.array([density_at(model, x)[1] for x in X])
         np.testing.assert_allclose(logp, singles, rtol=1e-12)
 
     def test_shape_errors(self):
         model = random_model()
         with pytest.raises(ShapeError):
-            forward(model, np.zeros(3))
+            density_at(model, np.zeros(3))
         with pytest.raises(ValueError):
-            forward(model, np.zeros(2), mode="unbiased")  # missing cfg/rng
+            density_at(model, np.zeros(2), mode="unbiased")  # missing cfg/rng
 
 
 class TestInverse:

@@ -12,7 +12,7 @@ from resflow.logdet import (
     EstimatorConfig,
     RouletteDist,
     biased_logdet_batch,
-    biased_truncated_logdet,
+    biased_logdet_exact_trace_rows,
     biased_value_and_grad_rows,
     exact_logdet,
     exact_logdet_grad,
@@ -21,7 +21,6 @@ from resflow.logdet import (
     neumann_grad_exact_trace,
     neumann_grad_samples,
     neumann_logdet_grad,
-    roulette_logdet,
     roulette_logdet_batch,
     roulette_logdet_rows,
     roulette_value_and_neumann_grad_rows,
@@ -75,7 +74,7 @@ class TestRouletteDist:
         with pytest.raises(ValueError):
             RouletteDist(q=0.0)
         with pytest.raises(ValueError):
-            RouletteDist(kind="poisson")
+            RouletteDist(n_exact=-1)
 
 
 class TestExactOracles:
@@ -116,28 +115,27 @@ class TestExactOracles:
 class TestBiasedTruncated:
     def test_exact_traces_converge_with_many_terms(self):
         params = mlp_block(seed=1)
-        cfg = EstimatorConfig(n_fixed=200)
-        sample = biased_truncated_logdet(params, X0, cfg, np.random.default_rng(0), exact_traces=True)
-        assert sample.value == pytest.approx(exact_logdet(params, X0), abs=1e-10)
+        value = biased_logdet_exact_trace_rows(params, X0, 200)[0]
+        assert value == pytest.approx(exact_logdet(params, X0), abs=1e-10)
 
     def test_hand_computed_linear_sum(self):
         a = 0.5
         params = linear_block(np.diag([a, a]))
         cfg = EstimatorConfig(n_fixed=3, n_hutchinson=1)
-        rng = np.random.default_rng(3)
-        sample = biased_truncated_logdet(params, X0, cfg, rng)
-        v = sample.seeds[0].direction
+        vals, terms = biased_logdet_batch(params, X0, cfg, np.random.default_rng(3), 1)
+        v = np.random.default_rng(3).standard_normal(2)  # the one probe drawn
         expected = sum(
             (-1.0) ** (k + 1) / k * (a**k) * float(v @ v) for k in (1, 2, 3)
         )
-        assert sample.value == pytest.approx(expected, rel=1e-12)
+        assert vals[0] == pytest.approx(expected, rel=1e-12)
+        assert terms[0] == 3
 
     def test_deterministic_given_seed(self):
         params = mlp_block(seed=2)
         cfg = EstimatorConfig(n_fixed=5)
-        s1 = biased_truncated_logdet(params, X0, cfg, np.random.default_rng(42))
-        s2 = biased_truncated_logdet(params, X0, cfg, np.random.default_rng(42))
-        assert s1.value == s2.value
+        v1, _ = biased_logdet_batch(params, X0, cfg, np.random.default_rng(42), 3)
+        v2, _ = biased_logdet_batch(params, X0, cfg, np.random.default_rng(42), 3)
+        np.testing.assert_array_equal(v1, v2)
 
     def test_bias_grows_with_contraction(self):
         # matched linear blocks: J = c * I, truncation at 5 terms
@@ -153,17 +151,13 @@ class TestBiasedTruncated:
 class TestRouletteLogdet:
     def test_zero_branch_gives_exact_zero(self):
         cfg = EstimatorConfig()
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            sample = roulette_logdet(zero_block(), X0, cfg, rng)
-            assert sample.value == 0.0
+        vals, _ = roulette_logdet_batch(zero_block(), X0, cfg, np.random.default_rng(0), 20)
+        np.testing.assert_array_equal(vals, 0.0)
 
     def test_minimum_terms(self):
         cfg = EstimatorConfig()
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            s = roulette_logdet(mlp_block(seed=3), X0, cfg, rng)
-            assert s.n_terms_evaluated >= cfg.roulette.n_exact + 1
+        _, terms = roulette_logdet_batch(mlp_block(seed=3), X0, cfg, np.random.default_rng(1), 50)
+        assert terms.min() >= cfg.roulette.n_exact + 1
 
     def test_unbiased_linear_block(self):
         params = linear_block(np.diag([0.5, 0.5]))
@@ -182,8 +176,10 @@ class TestRouletteLogdet:
     def test_single_call_matches_batch_distribution(self):
         params = mlp_block(seed=5)
         cfg = EstimatorConfig()
-        rng = np.random.default_rng(7)
-        singles = np.array([roulette_logdet(params, X0, cfg, rng).value for _ in range(4000)])
+        # the rows route forwards every copy of the point; the batch route
+        # shares one forward cache between all draws
+        rows = np.tile(X0, (4000, 1))
+        singles, _ = roulette_logdet_rows(params, rows, cfg, np.random.default_rng(7))
         batch, _ = roulette_logdet_batch(params, X0, cfg, np.random.default_rng(8), 4000)
         # same estimator, independent streams: means within joint 4 SE
         se = np.sqrt(singles.var(ddof=1) / 4000 + batch.var(ddof=1) / 4000)
@@ -213,14 +209,6 @@ class TestRouletteLogdet:
         # both center on the same value
         se = np.sqrt(v1.var() / 20_000 + v4.var() / 20_000)
         assert abs(v1.mean() - v4.mean()) < 4 * se
-
-    def test_per_term_diagnostics_recorded(self):
-        params = mlp_block(seed=11)
-        cfg = EstimatorConfig()
-        s = roulette_logdet(params, X0, cfg, np.random.default_rng(11))
-        assert s.per_term is not None
-        assert len(s.per_term) == s.n_terms_evaluated
-        assert s.value == pytest.approx(sum(s.per_term), rel=1e-12)
 
 
 class TestNeumannGradient:
@@ -361,6 +349,62 @@ class TestStorageContract:
         assert peaks[20] - peaks[10] == 2 * 10
 
 
+class TestSeriesKernel:
+    """The one term loop against dense Jacobian powers, draw by draw."""
+
+    @staticmethod
+    def dense_sums(jac, v, K, dist):
+        # sum_k c_k v^T J^k v and sum_k b_k (J^T)^k v, weights from the
+        # roulette law: term k > n_exact is divided by (1 - q)^(k - n_exact - 1)
+        values, w = np.zeros(len(v)), np.zeros_like(v)
+        for i in range(len(v)):
+            power = np.eye(len(v[i]))  # J^(k-1)
+            for k in range(1, K[i] + 1):
+                weight = (1 - dist.q) ** max(0, k - dist.n_exact - 1)
+                w[i] += (-1.0) ** (k + 1) / weight * (power.T @ v[i])
+                power = jac[i] @ power
+                values[i] += (-1.0) ** (k + 1) / k / weight * (v[i] @ power @ v[i])
+        return values, w
+
+    @pytest.mark.parametrize("case", ["batch", "shared_point", "point_of_row"])
+    def test_values_and_cotangent_match_dense_powers(self, case):
+        from resflow.blocks import block_dense_jacobian, block_forward_cache
+        from resflow.logdet import _draw, _series
+
+        params = mlp_block(seed=13, hidden=8, frac=1.2)
+        X = np.random.default_rng(14).standard_normal((12, 2))
+        cfg = EstimatorConfig()
+        point_of_row = None
+        if case == "shared_point":
+            X = X[:1]
+        elif case == "point_of_row":
+            cfg = EstimatorConfig(n_hutchinson=3)
+            X = X[:4]
+            point_of_row = np.arange(12) // 3
+        v, K, coefs = _draw(np.random.default_rng(15), 2, cfg, 12)
+        # replay: all probes first, then all truncations
+        replay = np.random.default_rng(15)
+        np.testing.assert_array_equal(v, replay.standard_normal((12, 2)))
+        np.testing.assert_array_equal(K, cfg.roulette.n_exact + cfg.roulette.sample(replay, 12))
+        assert len(set(K)) > 2
+
+        jac = block_dense_jacobian(params, X)
+        point = np.zeros(12, dtype=int) if len(X) == 1 else point_of_row
+        jac = jac[np.arange(12) if point is None else point]
+        expected_values, expected_w = self.dense_sums(jac, v, K, cfg.roulette)
+
+        _, cache = block_forward_cache(params, X)
+        values, w = _series(params, cache, v, K, *coefs, point_of_row=point_of_row)
+        np.testing.assert_allclose(values, expected_values, rtol=1e-12)
+        np.testing.assert_allclose(w, expected_w, rtol=1e-12)
+        # value-only calls step with J, cotangent-only calls stop one term early
+        values_jvp, no_w = _series(params, cache, v, K, coefs[0], point_of_row=point_of_row)
+        np.testing.assert_allclose(values_jvp, expected_values, rtol=1e-12)
+        assert no_w is None
+        _, w_only = _series(params, cache, v, K, None, coefs[1], point_of_row=point_of_row)
+        np.testing.assert_allclose(w_only, expected_w, rtol=1e-12)
+
+
 class TestTrainingEstimators:
     def test_combined_values_match_standalone_distribution(self):
         params = mlp_block(seed=9)
@@ -432,8 +476,6 @@ class TestTrainingEstimators:
         for _ in range(M):
             vals, _, _, _ = biased_value_and_grad_rows(params, X, cfg, rng)
             acc += vals
-        from resflow.logdet import biased_logdet_exact_trace_rows
-
         expected = biased_logdet_exact_trace_rows(params, X, 5)
         np.testing.assert_allclose(acc / M, expected, atol=0.05)
 
@@ -441,10 +483,10 @@ class TestTrainingEstimators:
 @given(st.integers(1, 12), st.floats(0.1, 0.9))
 @settings(max_examples=40, deadline=None)
 def test_roulette_coefficients_survival_reweighting(k, q):
-    from resflow.logdet import _roulette_coefficients
+    from resflow.logdet import _coefficients
 
     dist = RouletteDist(q=q, n_exact=2)
-    coefs = _roulette_coefficients(dist, 12)
+    coefs, _ = _coefficients(12, dist)
     base = (-1.0) ** (k + 1) / k
     if k <= 2:
         assert coefs[k - 1] == pytest.approx(base, rel=1e-12)

@@ -54,7 +54,7 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_OVERRIDE_RE = re.compile(r"^--([a-z_]+(?:\.[a-z_]+)+)=(.*)$")
+_OVERRIDE_RE = re.compile(r"^--([a-z_][a-z0-9_]*(?:\.[a-z_][a-z0-9_]*)+)=(.*)$")
 
 DIAGNOSE_COEFFS = (0.5, 0.7, 0.9, 0.98)
 DIAGNOSE_ESTIMATORS = ("biased-5", "biased-10", "unbiased")

@@ -73,10 +73,25 @@ class TrainConfig:
                 f"lipschitz.norm_preset must be one of {sorted(NORM_PRESETS)}, "
                 f"got {self.norm_preset!r}"
             )
-        if self.hidden < 1:
-            raise ConfigError(f"train.hidden must be >= 1, got {self.hidden}")
-        if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        # blocks = 0 is the actnorm-only baseline; checkpoint_every = 0 disables
+        for key, value, least in [
+            ("train.hidden", self.hidden, 1),
+            ("train.batch_size", self.batch_size, 1),
+            ("train.steps", self.steps, 0),
+            ("train.blocks", self.blocks, 0),
+            ("train.n_eval", self.n_eval, 1),
+            ("train.eval_every", self.eval_every, 1),
+            ("train.checkpoint_every", self.checkpoint_every, 0),
+            ("lipschitz.max_iters", self.lipschitz_max_iters, 1),
+            ("lipschitz.max_iters_warm", self.lipschitz_max_iters_warm, 1),
+        ]:
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+        if not self.lipschitz_tol > 0:
+            raise ConfigError(f"lipschitz.tol must be positive, got {self.lipschitz_tol}")
+        for key, beta in [("train.adam_beta1", self.adam_beta1), ("train.adam_beta2", self.adam_beta2)]:
+            if not (0.0 <= beta < 1.0):
+                raise ConfigError(f"{key} must lie in [0, 1), got {beta}")
         try:
             check_coeff(self.lipschitz_coeff)
             # the training estimator, then the evaluation protocol's

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from resflow.blocks import BlockParams, block_forward
+from resflow.blocks import BlockParams, block_forward, work_buffers
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
 from resflow.logdet import EstimatorConfig, biased_logdet_rows, exact_logdet, roulette_logdet_rows
 
@@ -78,7 +78,11 @@ class ActNorm:
     def inverse(self, y: np.ndarray) -> np.ndarray:
         if not self.initialized:
             raise InitializationError("actnorm used before data-dependent initialization")
-        return (y - self.shift) * np.exp(-self.log_scale)
+        # in place: a freed temporary beside a result the caller keeps (a
+        # sample) leaves a hole in the heap that later allocations step over
+        x = y - self.shift
+        x *= np.exp(-self.log_scale)
+        return x
 
     @property
     def logdet(self) -> float:
@@ -128,7 +132,10 @@ def base_log_density(z: np.ndarray) -> np.ndarray:
     """Standard-normal log density, summed over the last axis."""
     z = np.asarray(z, dtype=np.float64)
     d = z.shape[-1]
-    return -0.5 * d * LOG_TWO_PI - 0.5 * np.sum(z * z, axis=-1)
+    out = np.sum(z * z, axis=-1)  # in place, as in ActNorm.inverse
+    out *= -0.5
+    out += -0.5 * d * LOG_TWO_PI
+    return out
 
 
 def build_model(
@@ -239,7 +246,8 @@ def log_density_batch(
                 logdet += vals
                 terms_total += float(terms.mean())
             h = lay.forward(h)
-    logp = base_log_density(h) + logdet
+    logp = base_log_density(h)
+    logp += logdet
     mean_terms = terms_total / n_blocks if (n_blocks and mode != "exact") else 0.0
     return h, logp, mean_terms
 
@@ -274,6 +282,8 @@ def inverse(
     if h.shape[1] != model.dim:
         raise ShapeError(f"expected points of dim {model.dim}")
     residual_log: list[list[float]] = []
+    # one set of work buffers serves every Picard step of every block
+    work = work_buffers([b.params for b in model.blocks()], h.shape[0], 3)
     for lay in reversed(model.layers):
         if isinstance(lay, ActNorm):
             h = lay.inverse(h)
@@ -283,7 +293,7 @@ def inverse(
         block_res: list[float] = []
         converged = False
         for _ in range(max_iters):
-            x_next = target - block_forward(lay.params, x)
+            x_next = target - block_forward(lay.params, x, work=work)
             step = float(np.max(np.sqrt(np.sum((x_next - x) ** 2, axis=1))))
             block_res.append(step)
             x = x_next

@@ -37,6 +37,7 @@ from resflow.blocks import (
     block_forward_cache,
     block_jvp,
     block_vjp,
+    work_buffers,
 )
 from resflow.errors import ContractivityError, GuardError
 from resflow.instrument import RetainedList, StorageMeter
@@ -232,24 +233,25 @@ def _series(params, cache: BlockCache, v, K, val_coefs, grad_coefs=None, point_o
 
     each None when its weights are.  Rows run sorted by descending
     truncation, so the active rows are a prefix.  The chain steps with
-    ``block_vjp`` when it accumulates ``w``, else with ``block_jvp``.
+    ``block_vjp`` when it accumulates ``w``, else with ``block_jvp``; every
+    step works in prefix slices of one set of work buffers.
     """
     order = np.argsort(-K, kind="stable")
     ks, vs = K[order], v[order]
     # the chain reads slopes alone: gather them once in sorted order and
     # slice prefixes, not whole caches; a one-point cache broadcasts as is
     rows = order if point_of_row is None else point_of_row[order]
-    slopes = cache.slope if len(cache.inputs[0]) == 1 else [s[rows] for s in cache.slope]
+    slopes = [s if len(s) == 1 else s[rows] for s in cache.slope]
     step = block_jvp if grad_coefs is None else block_vjp
     # row i needs K_i chain steps for its value, K_i - 1 for its cotangent
     steps = ks if val_coefs is not None else ks - 1
     values = None if val_coefs is None else np.zeros(v.shape[0])
     w = None if grad_coefs is None else grad_coefs[0] * vs
-    cur = vs
+    cur, work = vs, work_buffers(params, v.shape[0])
     for k in range(1, int(steps.max(initial=0)) + 1):
         m = int(np.searchsorted(-steps, -k, side="right"))
         prefix = BlockCache(inputs=[], pre=[], slope=[s[:m] for s in slopes], betas=[])
-        cur = step(params, None, cur[:m], cache=prefix)
+        cur = step(params, None, cur[:m], cache=prefix, work=work)
         if values is not None:
             values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
         if w is not None and k < len(grad_coefs):
@@ -272,10 +274,11 @@ def _differentiated_series(params, x, v, coefs, cache: BlockCache, meter=None):
     backward = RetainedList(meter)  # (J^T)^m v
     forward.append(v)
     backward.append(v)
+    work = work_buffers(params, max(v.shape[0], len(cache.inputs[0])))
     for _ in range(1, n_terms):
-        forward.append(block_jvp(params, x, forward[-1], cache=cache))
-        backward.append(block_vjp(params, x, backward[-1], cache=cache))
-    last = block_jvp(params, x, forward[-1], cache=cache)
+        forward.append(block_jvp(params, x, forward[-1], cache=cache, work=work))
+        backward.append(block_vjp(params, x, backward[-1], cache=cache, work=work))
+    last = block_jvp(params, x, forward[-1], cache=cache, work=work)
     values = coefs @ np.stack([np.einsum("ij,ij->i", v, f) for f in forward[1:] + [last]])
     grads = BlockGrads.zeros_like(params)
     input_grad = np.zeros(v.shape)
@@ -307,7 +310,7 @@ def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     nh = cfg.n_hutchinson
     v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased, force_n)
-    _, cache = block_forward_cache(params, X)
+    _, cache = block_forward_cache(params, X, slopes_only=True)
     values, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(n * nh) // nh)
     return _point_means(values, n, nh), K.reshape(n, nh).sum(axis=1)
 

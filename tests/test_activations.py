@@ -137,15 +137,35 @@ class TestBetaReparameterization:
             assert beta_from_raw(raw) > 0
 
 
-def test_sigmoid_bit_identical_to_branching_form():
+def sigmoid_test_points():
     rng = np.random.default_rng(0)
-    t = np.concatenate(
+    return np.concatenate(
         [[0.0, -0.0, np.inf, -np.inf, np.nan]]
         + [rng.standard_normal(2000) * scale for scale in (1.0, 10.0, 100.0, 800.0)]
     )
+
+
+def test_sigmoid_bit_identical_to_branching_form():
+    t = sigmoid_test_points()
     e = np.exp(-np.abs(t))
     branching = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = sigmoid(t)
     assert np.isnan(out[4]) and np.isnan(branching[4])
     keep = ~np.isnan(t)
     np.testing.assert_array_equal(out[keep].view(np.int64), branching[keep].view(np.int64))
+
+
+def test_sigmoid_into_buffers_bit_identical():
+    t = sigmoid_test_points()
+    fresh = sigmoid(t)
+    buf, work = np.full_like(t, 7.0), np.full_like(t, -3.0)
+    assert sigmoid(t, out=buf) is buf
+    np.testing.assert_array_equal(buf.view(np.int64), fresh.view(np.int64))
+    in_place = t.copy()
+    sigmoid(in_place, out=in_place, work=work)
+    np.testing.assert_array_equal(in_place.view(np.int64), fresh.view(np.int64))
+    # a 2-d leading-row slice of a larger buffer, as the block kernels pass it
+    rows = np.full((3, t.size), np.nan)
+    sigmoid(t[None, :], out=rows[:1], work=np.empty((1, t.size)))
+    np.testing.assert_array_equal(rows[0].view(np.int64), fresh.view(np.int64))
+    assert np.all(np.isnan(rows[1:]))

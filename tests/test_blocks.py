@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resflow.blocks import (
+    BlockCache,
     BlockParams,
     LayerParams,
     bilinear_param_grad,
@@ -21,6 +22,7 @@ from resflow.blocks import (
     param_count,
     param_vector,
     set_param_vector,
+    work_buffers,
 )
 from resflow.errors import GuardError, ShapeError
 from resflow.norms import init_block_params
@@ -304,6 +306,107 @@ class TestFusedReverse:
             grads_vector(fused), grads_vector(path.add_(bil)), rtol=1e-12, atol=1e-14
         )
         np.testing.assert_allclose(xbar, vjp + ig, rtol=1e-12, atol=1e-14)
+
+
+def uneven_block():
+    """2 -> 6 -> 9 -> 2: hidden layers of different widths."""
+    rng = np.random.default_rng(21)
+    dims = [2, 6, 9, 2]
+    layers = [
+        LayerParams(
+            weight=rng.uniform(-0.3, 0.3, size=(dims[l + 1], dims[l])),
+            bias=rng.uniform(-0.5, 0.5, size=dims[l + 1]),
+            raw_beta=0.3 * l if l < 2 else None,
+        )
+        for l in range(3)
+    ]
+    return BlockParams(layers=layers)
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestWorkBuffers:
+    """Kernels given work buffers equal the fresh-allocation calls bit for bit."""
+
+    @staticmethod
+    def dirty_work(params, rows):
+        work = work_buffers(params, rows, 3)
+        for buf in work:
+            buf.fill(np.nan)  # a kernel reading stale buffer rows would show
+        return work
+
+    @pytest.mark.parametrize("case", ["1-layer", "2-layer", "3-layer", "uneven"])
+    def test_chains_match_fresh_allocation(self, case):
+        if case == "uneven":
+            params = uneven_block()
+        else:
+            params = make_block(seed=4, hidden=16, n_layers=int(case[0]))
+        rng = np.random.default_rng(5)
+        X, V = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
+        _, cache = block_forward_cache(params, X)
+        work = self.dirty_work(params, 20)
+        for m in (12, 5, 1):  # prefix slices of the cache, as the series loop takes them
+            prefix = BlockCache(inputs=[], pre=[], slope=[s[:m] for s in cache.slope], betas=[])
+            for kernel in (block_jvp, block_vjp):
+                fresh = kernel(params, None, V[:m], cache=prefix)
+                buffered = kernel(params, None, V[:m], cache=prefix, work=work)
+                assert_bits_equal(buffered, fresh)
+                assert not np.shares_memory(buffered, V)
+                assert not any(np.shares_memory(buffered, buf) for buf in work)
+        # a one-point cache broadcast against many rows, and one row against a batch
+        _, one = block_forward_cache(params, X[:1])
+        for kernel in (block_jvp, block_vjp):
+            assert_bits_equal(
+                kernel(params, None, V, cache=one, work=work), kernel(params, None, V, cache=one)
+            )
+            assert_bits_equal(
+                kernel(params, X, V[0], cache=cache, work=work), kernel(params, X, V[0], cache=cache)
+            )
+        # the last call's answer does not change when the buffers are reused
+        first = block_jvp(params, X, V, cache=cache, work=work)
+        kept = first.copy()
+        block_vjp(params, X, V[::-1], cache=cache, work=work)
+        assert_bits_equal(first, kept)
+
+    @pytest.mark.parametrize("case", ["1-layer", "2-layer", "3-layer", "uneven"])
+    def test_forward_matches_fresh_allocation(self, case):
+        if case == "uneven":
+            params = uneven_block()
+        else:
+            params = make_block(seed=6, hidden=16, n_layers=int(case[0]))
+        X = np.random.default_rng(7).standard_normal((12, 2)) * 3.0
+        work = self.dirty_work(params, 20)
+        for m in (12, 5, 1):
+            buffered = block_forward(params, X[:m], work=work)
+            assert_bits_equal(buffered, block_forward(params, X[:m]))
+            assert not np.shares_memory(buffered, X)
+            assert not any(np.shares_memory(buffered, buf) for buf in work)
+        assert_bits_equal(block_forward(params, X, work=work), block_forward_cache(params, X)[0])
+        assert_bits_equal(block_forward(params, X[0], work=work), block_forward(params, X[0]))
+
+    @pytest.mark.parametrize("case", ["1-layer", "3-layer", "uneven"])
+    def test_slopes_only_cache_keeps_the_same_slopes(self, case):
+        params = uneven_block() if case == "uneven" else make_block(seed=10, n_layers=int(case[0]))
+        X = np.random.default_rng(11).standard_normal((9, 2))
+        g, full = block_forward_cache(params, X)
+        g_slopes, lean = block_forward_cache(params, X, slopes_only=True)
+        assert_bits_equal(g_slopes, g)
+        assert len(lean.slope) == len(full.slope) and lean.betas == full.betas
+        for a, b in zip(lean.slope, full.slope):
+            assert_bits_equal(a, b)
+        assert not (lean.inputs or lean.pre or lean.sd1 or lean.common)
+        assert_bits_equal(block_dense_jacobian(params, X), block_dense_jacobian(params, X, cache=full))
+
+    def test_one_set_serves_blocks_of_different_widths(self):
+        narrow, wide = make_block(seed=8, hidden=4), uneven_block()
+        work = work_buffers([narrow, wide], 7, 3)
+        assert all(buf.shape == (7, 9) for buf in work)
+        X = np.random.default_rng(9).standard_normal((7, 2))
+        for params in (narrow, wide):
+            assert_bits_equal(block_forward(params, X, work=work), block_forward(params, X))
 
 
 class TestParamVector:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from resflow.cli import main
+from resflow.cli import build_parser, build_train_config, main, parse_overrides
 from resflow.grid import read_grid_csv
 
 
@@ -96,12 +96,31 @@ class TestTrain:
             "--train.dataset=moons",
             "--estimator.n_hutchinson=0",
             "--estimator.hutchinson=foo",
+            "--train.steps=-1",
+            "--train.blocks=-1",
+            "--train.n_eval=0",
+            "--train.eval_every=0",
+            "--train.eval_every=-5",
+            "--train.checkpoint_every=-1",
+            "--lipschitz.max_iters=0",
+            "--lipschitz.max_iters_warm=0",
+            "--lipschitz.tol=0",
+            "--train.adam_beta1=1.5",
+            "--train.adam_beta2=1.0",
+            "--train.adam_beta2=-0.1",
         ],
     )
     def test_bad_config_value_exits_2_before_writing(self, tmp_path, override):
         out = tmp_path / "run"
         assert run_cli("train", "--out-dir", str(out), "--steps", "1", override) == 2
         assert not out.exists()
+
+    def test_keys_with_digits_reach_train_config(self):
+        args, extras = build_parser().parse_known_args(
+            ["train", "--train.adam_beta1=0.8", "--train.adam_beta2=0.999"]
+        )
+        cfg = build_train_config(args, parse_overrides(extras))
+        assert (cfg.adam_beta1, cfg.adam_beta2) == (0.8, 0.999)
 
     def test_unknown_override_exits_2(self, capsys):
         code = run_cli("train", "--train.warp=9")

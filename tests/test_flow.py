@@ -122,6 +122,28 @@ class TestInverse:
             for a, b in zip(meaningful, meaningful[1:]):
                 assert b <= bound * a * (1 + 1e-6)
 
+    def test_page_faults_do_not_grow_with_picard_iterations(self):
+        """Every Picard step of every block works in one set of buffers, so
+        a tight tolerance faults no more pages than a loose one."""
+        resource = pytest.importorskip("resource")
+        params = init_block_params(np.random.default_rng(19), 2, hidden=128, init_norm_fraction=1.0)
+        model = FlowModel(dim=2, layers=[ResidualBlock(params=params)] * 2)
+        z = np.random.default_rng(20).standard_normal((500, 2))
+
+        def faults_and_iters(tol):
+            inverse(model, z, tol=tol)
+            counts = []
+            for _ in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                _, residuals = inverse(model, z, tol=tol, return_residuals=True)
+                counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            return min(counts), sum(len(r) for r in residuals)
+
+        loose, few = faults_and_iters(1e-1)
+        tight, many = faults_and_iters(1e-14)
+        assert many >= 4 * few
+        assert tight <= 2 * loose
+
     def test_nonconvergence_raises(self):
         model = random_model(seed=13, n_blocks=1)
         with pytest.raises(ContractivityError):

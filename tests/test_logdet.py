@@ -405,6 +405,39 @@ class TestSeriesKernel:
         np.testing.assert_allclose(w_only, expected_w, rtol=1e-12)
 
 
+def minor_faults(call, repeats=3):
+    """Fewest minor page faults over ``repeats`` runs of ``call``, after a warm-up run."""
+    resource = pytest.importorskip("resource")
+    call()
+    counts = []
+    for _ in range(repeats):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return min(counts)
+
+
+@pytest.mark.parametrize("cotangent", [False, True], ids=["values_jvp", "cotangent_vjp"])
+def test_series_page_faults_do_not_grow_with_terms(cotangent):
+    """The term loop reuses one set of work buffers: 40 terms fault no more
+    pages than 4 (fresh (rows, hidden) temporaries per term would fault
+    about ten times as many, each given back to the OS between terms)."""
+    from resflow.blocks import block_forward_cache
+    from resflow.logdet import _coefficients, _series
+
+    params = mlp_block(seed=17, hidden=128)
+    rng = np.random.default_rng(18)
+    X, v = rng.standard_normal((500, 2)), rng.standard_normal((500, 2))
+    _, cache = block_forward_cache(params, X)
+
+    def run(n_terms):
+        values, grads = _coefficients(n_terms)
+        K = np.full(500, n_terms)
+        return lambda: _series(params, cache, v, K, values, grads if cotangent else None)
+
+    assert minor_faults(run(40)) <= 2 * minor_faults(run(4))
+
+
 class TestTrainingEstimators:
     def test_combined_values_match_standalone_distribution(self):
         params = mlp_block(seed=9)

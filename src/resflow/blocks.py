@@ -5,6 +5,9 @@ with LipSwish activations between linear layers.  Everything a flow or an
 estimator needs from ``g`` is exposed as an explicit function:
 
 * ``block_forward``       -- g(x)
+* ``block_forward_cache`` -- g(x), keeping each hidden layer's ``z`` and
+  ``s = sigmoid(beta z)``, and ``derive_cache``, which forms everything
+  else the chains and the reverse pass read from those two
 * ``block_jvp``           -- J_g(x) v
 * ``block_vjp``           -- J_g(x)^T u
 * ``block_dense_jacobian``-- the full d x d Jacobian (small-d oracle)
@@ -30,10 +33,25 @@ between steps and faulted in again by the next one, so each loop holds
 one set per call instead.  Without ``work`` a kernel makes its own set:
 one code path either way.  The ``d``-wide output is always a fresh
 array, so a step's output never aliases the next step's input.
+
+Workspace: a training step holds every block's forward cache from the
+forward sweep to that block's reverse pass, then does it all again the
+next step.  Given a ``slot``, :func:`block_forward_cache` keeps ``z`` and
+``s`` in that slot's buffers of a per-thread workspace, and
+:func:`derive_cache` writes the slopes, ``sd1``, ``common`` and hidden
+inputs of a slot cache into one derived set all slots share, so those
+exist for one block at a time.  Buffers are made on first use and
+replaced when a shape changes.  A slot cache is valid until the next
+forward into its slot, a derived set until the next derivation of a slot
+cache; nothing a kernel returns lives in the workspace.  Without a slot
+every array is fresh, as the value-only routes and tests use them.  The
+workspace stays allocated, every slot it ever held included, until
+:func:`release_workspace` (``train.fit`` calls it when it is done).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,26 +250,44 @@ def grads_vector(grads: BlockGrads) -> np.ndarray:
 
 @dataclass
 class BlockCache:
-    """Forward intermediates reused by every derivative routine.
+    """What a block forward keeps for its derivatives: two arrays per hidden layer.
 
-    ``inputs[l]`` is the input to layer l, ``pre[l]`` its pre-activation,
-    ``slope[l]`` the activation derivative at ``pre[l]`` (absent for the
-    final layer), ``betas[l]`` the positive activation parameters.  With
-    ``t = beta * z`` and ``s = sigmoid(t)``, ``sd1[l]`` keeps ``s (1 - s)``
-    and ``common[l]`` keeps ``(2 sd1 + t sd1 (1 - 2 s)) / 1.1``: the
-    activation's second derivative is ``beta * common`` and the slope's
-    beta-derivative ``z * common``, so the reverse pass needs no fresh
-    exponentials.  The JVP/VJP chains read ``slope`` alone, which is all a
-    ``slopes_only`` cache keeps.
+    ``x`` is the block's input batch, ``pre[l]`` hidden layer l's
+    pre-activation ``z`` and ``act[l]`` its logistic ``s = sigmoid(beta z)``,
+    ``betas[l]`` the positive activation parameters.  Everything else the
+    chains and the reverse pass read comes from these in a few elementwise
+    passes (:func:`derive_cache`), so it is formed one block at a time
+    rather than kept for every block of a model at once.  ``slot`` is the
+    workspace slot holding ``pre`` and ``act``, None for fresh arrays.
     """
 
-    inputs: list[np.ndarray]
+    x: np.ndarray
     pre: list[np.ndarray]
-    slope: list[np.ndarray]
+    act: list[np.ndarray]
     betas: list[float]
+    slot: object = None
+
+
+@dataclass
+class DerivedCache:
+    """The arrays the JVP/VJP chains and the reverse pass read.
+
+    ``inputs[l]`` is the input to layer l, ``pre[l]`` hidden layer l's
+    pre-activation, ``slope[l]`` the activation derivative there,
+    ``betas[l]`` the activation parameters.  With ``t = beta z`` and
+    ``s = sigmoid(t)``, ``sd1[l]`` is ``s (1 - s)`` and ``common[l]``
+    ``(2 sd1 + t sd1 (1 - 2 s)) / 1.1``: the activation's second derivative
+    is ``beta * common`` and the slope's beta-derivative ``z * common``, so
+    the reverse pass needs no fresh exponentials.  The chains read
+    ``slope`` alone, which is all a slopes-only derivation fills in.
+    """
+
+    inputs: list[np.ndarray] = field(default_factory=list)
+    pre: list[np.ndarray] = field(default_factory=list)
+    slope: list[np.ndarray] = field(default_factory=list)
     sd1: list[np.ndarray] = field(default_factory=list)
     common: list[np.ndarray] = field(default_factory=list)
-    squeeze: bool = field(default=False)
+    betas: list[float] = field(default_factory=list)
 
 
 def _as_batch(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -266,58 +302,114 @@ def _as_batch(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-def block_forward_cache(
-    params: BlockParams, x: np.ndarray, slopes_only: bool = False
-) -> tuple[np.ndarray, BlockCache]:
-    """Evaluate g(x) and keep the intermediates.
+# The training step's workspace: each slot's kept (z, s), one derived set
+# shared by all slots, and the forward's scratch.  Fresh arrays of these
+# sizes were handed back to the OS after every step and faulted in again
+# by the next one.  One dict per thread, so threads never share a buffer.
+_workspace = threading.local()
 
-    With ``slopes_only`` the cache keeps ``slope`` and ``betas`` alone,
-    which is all the JVP/VJP chains read: the dense Jacobian and the
-    value-only series run no reverse pass, and keeping less cuts their
-    peak memory (tracemalloc over an exact log-density of 256 rows through
-    10 blocks of hidden width 128: 2.10 MiB instead of 3.03 MiB).
+
+def _buffer(shared: bool, key, shape: tuple[int, int]) -> np.ndarray:
+    """The workspace buffer ``key`` of ``shape`` when ``shared``, made on first
+    use and replaced when the shape changes; a fresh array otherwise."""
+    if not shared:
+        return np.empty(shape)
+    buffers = _workspace.__dict__.setdefault("buffers", {})
+    buf = buffers.get(key)
+    if buf is None or buf.shape != shape:
+        buf = buffers[key] = np.empty(shape)
+    return buf
+
+
+def release_workspace() -> None:
+    """Free this thread's workspace; the next slot forward makes it afresh."""
+    _workspace.__dict__.clear()
+
+
+def _hidden_width(params: BlockParams) -> int:
+    return max((lay.weight.shape[0] for lay in params.layers[:-1]), default=0)
+
+
+def block_forward_cache(
+    params: BlockParams, x: np.ndarray, slot=None
+) -> tuple[np.ndarray, BlockCache]:
+    """Evaluate g(x) and keep each hidden layer's ``z`` and ``s``.
+
+    Given a ``slot`` (any hashable; training uses the block's position),
+    ``z`` and ``s`` go into that slot's workspace buffers and the
+    activations ``h``, which only the next layer's product reads, into
+    the workspace's scratch: the cache is then valid until the next
+    forward into the same slot.  Without one every array is fresh.
+    ``g(x)`` is a fresh array either way, bit for bit :func:`block_forward`.
     """
-    h, squeeze = _as_batch(params, x)
-    inputs, pre, slope, betas, sd1s, commons = [], [], [], [], [], []
-    n_layers = len(params.layers)
-    # (n, hidden) arithmetic runs in place: a fresh temporary of that size is
-    # often memory the allocator has returned to the OS and must fault back in
-    for l, lay in enumerate(params.layers):
-        z = h @ lay.weight.T
+    x, _ = _as_batch(params, x)
+    n, width = x.shape[0], _hidden_width(params)
+    shared = slot is not None
+    t_buf, e_buf, h_buf = (_buffer(shared, ("scratch", i), (n, width)) for i in range(3))
+    h, pre, act, betas = x, [], [], []
+    for l, lay in enumerate(params.layers[:-1]):
+        shape = (n, lay.weight.shape[0])
+        z = np.matmul(h, lay.weight.T, out=_buffer(shared, (slot, "z", l), shape))
         z += lay.bias
-        if not slopes_only:
-            inputs.append(h)
-            pre.append(z)
-        if l < n_layers - 1:
-            beta = lay.beta
-            betas.append(beta)
-            t = beta * z
-            s = sigmoid(t)
-            sd1 = 1.0 - s
-            sd1 *= s
-            # slope (s + t sd1) / 1.1; common sd1 (2 + t (1 - 2 s)) / 1.1
-            d1 = t * sd1
-            d1 += s
-            d1 /= LIPSWISH_SCALE
-            slope.append(d1)
-            if not slopes_only:
-                common = s * -2.0
-                common += 1.0
-                common *= t
-                common += 2.0
-                common *= sd1
-                common /= LIPSWISH_SCALE
-                sd1s.append(sd1)
-                commons.append(common)
-            h = z * s
-            h /= LIPSWISH_SCALE
-        else:
-            h = z
-    cache = BlockCache(
-        inputs=inputs, pre=pre, slope=slope, betas=betas, sd1=sd1s, common=commons,
-        squeeze=squeeze,
+        beta = lay.beta
+        t = np.multiply(z, beta, out=_lead(t_buf, *shape))
+        s = sigmoid(t, out=_buffer(shared, (slot, "s", l), shape), work=_lead(e_buf, *shape))
+        h = np.multiply(z, s, out=_lead(h_buf, *shape))
+        h /= LIPSWISH_SCALE
+        pre.append(z)
+        act.append(s)
+        betas.append(beta)
+    g = h @ params.layers[-1].weight.T
+    g += params.layers[-1].bias
+    return g, BlockCache(x=x, pre=pre, act=act, betas=betas, slot=slot)
+
+
+def derive_cache(
+    params: BlockParams, cache: BlockCache | DerivedCache, slopes_only: bool = False
+) -> DerivedCache:
+    """The chains' and the reverse pass's arrays, formed from ``(z, s)``.
+
+    Per hidden layer, with the forward's own arithmetic (so every value
+    is the same bit for bit): ``t = beta z``, ``sd1 = (1 - s) s``,
+    ``slope = (t sd1 + s) / 1.1``, ``common = ((1 - 2 s) t + 2) sd1 / 1.1``
+    and the next layer's input ``h = z s / 1.1``.  ``slopes_only`` forms
+    the slopes alone, all the JVP/VJP chains read.  The arrays of a
+    workspace cache go into the one derived set all slots share, valid
+    until the next derivation of a workspace cache; a fresh cache's are
+    fresh.  A :class:`DerivedCache` is returned as it is.
+    """
+    if isinstance(cache, DerivedCache):
+        return cache
+    shared = cache.slot is not None
+    t_buf = _buffer(shared, ("scratch", 0), (cache.x.shape[0], _hidden_width(params)))
+    inputs, slope, sd1s, commons = [cache.x], [], [], []
+    for l, (z, s, beta) in enumerate(zip(cache.pre, cache.act, cache.betas)):
+        shape = z.shape
+        t = np.multiply(z, beta, out=_lead(t_buf, *shape))
+        sd1 = np.subtract(1.0, s, out=_buffer(shared, ("sd1", l), shape))
+        sd1 *= s
+        d1 = np.multiply(t, sd1, out=_buffer(shared, ("slope", l), shape))
+        d1 += s
+        d1 /= LIPSWISH_SCALE
+        slope.append(d1)
+        if slopes_only:
+            continue
+        common = np.multiply(s, -2.0, out=_buffer(shared, ("common", l), shape))
+        common += 1.0
+        common *= t
+        common += 2.0
+        common *= sd1
+        common /= LIPSWISH_SCALE
+        h = np.multiply(z, s, out=_buffer(shared, ("h", l), shape))
+        h /= LIPSWISH_SCALE
+        sd1s.append(sd1)
+        commons.append(common)
+        inputs.append(h)
+    if slopes_only:
+        return DerivedCache(slope=slope, betas=cache.betas)
+    return DerivedCache(
+        inputs=inputs, pre=cache.pre, slope=slope, sd1=sd1s, common=commons, betas=cache.betas
     )
-    return h, cache
 
 
 def work_buffers(
@@ -325,6 +417,10 @@ def work_buffers(
 ) -> list[np.ndarray]:
     """``count`` work buffers for the kernels' ``work`` keyword, for up to ``rows`` rows.
 
+    Fresh arrays that live as long as the caller's loop (the series terms
+    of one call, the Picard steps of one inverse), unlike the workspace
+    behind :func:`block_forward_cache`'s slots, which outlives every call
+    until :func:`release_workspace`.
     Each is a ``(rows, width)`` array, ``width`` the widest hidden layer of
     ``params`` (one block, or several that then share one set).  The
     JVP/VJP chains alternate between two; :func:`block_forward` needs
@@ -334,7 +430,7 @@ def work_buffers(
     the allocator's trim threshold, so the next allocations fault again.
     """
     blocks = [params] if isinstance(params, BlockParams) else params
-    width = max((lay.weight.shape[0] for b in blocks for lay in b.layers[:-1]), default=0)
+    width = max((_hidden_width(b) for b in blocks), default=0)
     return [np.empty((rows, width)) for _ in range(count)]
 
 
@@ -371,11 +467,14 @@ def block_forward(
     return h[0] if squeeze else h
 
 
-def _cache_for(params: BlockParams, x: np.ndarray, cache: BlockCache | None) -> BlockCache:
-    if cache is not None:
-        return cache
-    _, cache = block_forward_cache(params, x)
-    return cache
+Cache = BlockCache | DerivedCache | None
+
+
+def _cache_for(params: BlockParams, x: np.ndarray, cache: Cache, slopes_only=False) -> DerivedCache:
+    """``cache`` derived (:func:`derive_cache`), from a fresh forward of ``x`` if None."""
+    if cache is None:
+        _, cache = block_forward_cache(params, x)
+    return derive_cache(params, cache, slopes_only)
 
 
 def _chain(params: BlockParams, t: np.ndarray, mats, slopes, work) -> np.ndarray:
@@ -400,7 +499,7 @@ def block_jvp(
     params: BlockParams,
     x: np.ndarray,
     v: np.ndarray,
-    cache: BlockCache | None = None,
+    cache: Cache = None,
     work: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """J_g(x) v via the layer chain rule.
@@ -408,7 +507,7 @@ def block_jvp(
     ``work``: two buffers (``work_buffers(params, rows)``) that the
     hidden-width products alternate between.
     """
-    cache = _cache_for(params, x, cache)
+    cache = _cache_for(params, x, cache, slopes_only=True)
     t, squeeze = _as_batch(params, np.asarray(v, dtype=np.float64))
     t = _chain(params, t, [lay.weight.T for lay in params.layers], cache.slope, work)
     return t[0] if squeeze else t
@@ -418,14 +517,14 @@ def block_vjp(
     params: BlockParams,
     x: np.ndarray,
     u: np.ndarray,
-    cache: BlockCache | None = None,
+    cache: Cache = None,
     work: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """J_g(x)^T u, i.e. the row vector u^T J_g(x) laid out as a vector.
 
     ``work`` as for :func:`block_jvp`.
     """
-    cache = _cache_for(params, x, cache)
+    cache = _cache_for(params, x, cache, slopes_only=True)
     r, squeeze = np.asarray(u, dtype=np.float64), False
     if r.ndim == 1:
         r, squeeze = r[None, :], True
@@ -434,7 +533,7 @@ def block_vjp(
     return r[0] if squeeze else r
 
 
-def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: BlockCache | None = None) -> np.ndarray:
+def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: Cache = None) -> np.ndarray:
     """Assemble J_g(x) column by column from JVPs with basis vectors.
 
     Brute-force oracle; guarded to small dimensions.
@@ -445,8 +544,7 @@ def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: BlockCache |
             f"dense Jacobian limited to dim <= {DENSE_JACOBIAN_MAX_DIM}, got {d}"
         )
     xb, squeeze = _as_batch(params, x)
-    if cache is None:
-        _, cache = block_forward_cache(params, xb, slopes_only=True)
+    cache = _cache_for(params, xb, cache, slopes_only=True)
     n = xb.shape[0]
     jac = np.empty((n, d, d))
     work = work_buffers(params, n)
@@ -460,7 +558,7 @@ def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: BlockCache |
 # -- reverse pass: parameter and input gradients ---------------------------
 
 
-def _reverse_chains(params: BlockParams, cache: BlockCache, u, w, v):
+def _reverse_chains(params: BlockParams, cache: DerivedCache, u, w, v):
     """Layer-wise pieces of the gradient of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
 
     ``u`` (the pathwise term) or ``w, v`` (the bilinear term) may be None.
@@ -486,7 +584,7 @@ def _reverse_chains(params: BlockParams, cache: BlockCache, u, w, v):
     zbar = [None] * n_layers
     zbar[-1] = u
     dbeta = [None] * (n_layers - 1)
-    # temporaries are updated in place, as in block_forward_cache
+    # temporaries are updated in place, as in derive_cache
     for l in range(n_layers - 2, -1, -1):
         weight, z, slope = layers[l + 1].weight, cache.pre[l], cache.slope[l]
         zb = dbeta_dz = None  # cotangent of z_l; rows of dbeta_dz . z_l give ds/dbeta_l
@@ -518,7 +616,7 @@ def _reverse_chains(params: BlockParams, cache: BlockCache, u, w, v):
     return zbar, pi, tau, dbeta, xbar
 
 
-def _probe_rows(params: BlockParams, x: np.ndarray, cache: BlockCache | None, *vecs):
+def _probe_rows(params: BlockParams, x: np.ndarray, cache: Cache, *vecs):
     """The cache of ``x`` and each of ``vecs`` as a float64 batch (None stays None)."""
     xb, _ = _as_batch(params, x)
     cache = _cache_for(params, xb, cache)
@@ -537,7 +635,7 @@ def block_param_grad(
     u: np.ndarray | None = None,
     w: np.ndarray | None = None,
     v: np.ndarray | None = None,
-    cache: BlockCache | None = None,
+    cache: Cache = None,
 ):
     """Gradient of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
 
@@ -576,7 +674,7 @@ def block_param_grad_of_output(
     params: BlockParams,
     x: np.ndarray,
     u: np.ndarray,
-    cache: BlockCache | None = None,
+    cache: Cache = None,
     return_vjp: bool = False,
 ):
     """Gradient of ``u . g(x)`` with respect to every block parameter.
@@ -596,7 +694,7 @@ def bilinear_param_grad(
     x: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    cache: BlockCache | None = None,
+    cache: Cache = None,
     want_input_grad: bool = False,
     out_cot: np.ndarray | None = None,
 ):
@@ -619,7 +717,7 @@ def bilinear_param_grad_per_sample(
     x: np.ndarray,
     u: np.ndarray,
     v: np.ndarray,
-    cache: BlockCache | None = None,
+    cache: Cache = None,
 ) -> np.ndarray:
     """Per-sample gradients of ``u_i^T J_g(x) v_i`` as an (n, P) matrix.
 

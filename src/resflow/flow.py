@@ -9,8 +9,9 @@ layers contribute the sum of their log scales.
 
 :func:`log_density_batch` is the one density route, for any number of
 rows (a single point is a one-row batch): it takes each block's
-log-determinant from ``logdet.exact_logdet``, ``roulette_logdet_rows``
-or ``biased_logdet_rows``.  :func:`transform` applies ``f`` alone;
+log-determinant and output from ``logdet.exact_logdet``,
+``roulette_logdet_rows`` or ``biased_logdet_rows``, whose forward already
+computes ``g``.  :func:`transform` applies ``f`` alone;
 :func:`inverse` is plain fixed-point iteration ``x <- z - g(x)``, which
 converges geometrically because every branch is a contraction, and
 :func:`sample` pulls base draws back through it.
@@ -235,17 +236,16 @@ def log_density_batch(
             h = lay.forward(h)
         else:
             n_blocks += 1
+            # each route hands back the g(h) of its own forward
             if mode == "exact":
-                logdet += exact_logdet(lay.params, h)
-            elif mode == "unbiased":
-                vals, terms = roulette_logdet_rows(lay.params, h, cfg, rng)
-                logdet += vals
-                terms_total += float(terms.mean())
+                vals, g = exact_logdet(lay.params, h, with_output=True)
             else:
-                vals, terms = biased_logdet_rows(lay.params, h, cfg, rng)
-                logdet += vals
+                route = roulette_logdet_rows if mode == "unbiased" else biased_logdet_rows
+                vals, terms, g = route(lay.params, h, cfg, rng)
                 terms_total += float(terms.mean())
-            h = lay.forward(h)
+            logdet += vals
+            g += h  # in place, as in ActNorm.inverse
+            h = g
     logp = base_log_density(h)
     logp += logdet
     mean_terms = terms_total / n_blocks if (n_blocks and mode != "exact") else 0.0

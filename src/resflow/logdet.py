@@ -28,15 +28,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from resflow.blocks import (
-    BlockCache,
     BlockGrads,
     BlockParams,
+    DerivedCache,
     bilinear_param_grad,
     bilinear_param_grad_per_sample,
     block_dense_jacobian,
     block_forward_cache,
     block_jvp,
     block_vjp,
+    derive_cache,
     work_buffers,
 )
 from resflow.errors import ContractivityError, GuardError
@@ -96,16 +97,22 @@ class EstimatorConfig:
 # -- dense oracles -----------------------------------------------------------
 
 
-def exact_logdet(params: BlockParams, x: np.ndarray) -> float | np.ndarray:
+def exact_logdet(params: BlockParams, x: np.ndarray, with_output: bool = False):
     """log det(I + J_g(x)) through the dense Jacobian (small d only).
 
     With Lip(g) < 1 the determinant is strictly positive, so the absolute
-    value in the change-of-variables term is inert.
+    value in the change-of-variables term is inert.  ``with_output`` also
+    returns the ``(n, d)`` block output ``g(x)`` of the forward the
+    Jacobian was built on, bit for bit ``block_forward``.
     """
-    jac = block_dense_jacobian(params, x)
+    g, cache = block_forward_cache(params, x)
+    # the Jacobian's JVPs read slopes alone: z and s are freed before they run
+    cache = derive_cache(params, cache, slopes_only=True)
+    jac = block_dense_jacobian(params, x, cache=cache)
     eye = np.eye(params.dim)
     _, logabs = np.linalg.slogdet(eye + jac)
-    return float(logabs) if np.ndim(logabs) == 0 else logabs
+    value = float(logabs) if np.ndim(logabs) == 0 else logabs
+    return (value, g) if with_output else value
 
 
 def exact_series_logdet(
@@ -151,7 +158,7 @@ def biased_logdet_exact_trace_rows(params: BlockParams, X: np.ndarray, n_fixed: 
 def exact_logdet_grad(
     params: BlockParams,
     x: np.ndarray,
-    cache: BlockCache | None = None,
+    cache=None,
     want_input_grad: bool = False,
 ):
     """Exact gradient of log det(I + J_g(x)) via the dense resolvent.
@@ -165,6 +172,7 @@ def exact_logdet_grad(
     xb = x[None, :] if single else x
     if cache is None:
         _, cache = block_forward_cache(params, xb)
+    cache = derive_cache(params, cache)
     jac = block_dense_jacobian(params, xb, cache=cache)
     d = params.dim
     a_t = np.swapaxes(np.eye(d) + jac, 1, 2)
@@ -221,7 +229,7 @@ def _draw(rng, d: int, cfg: EstimatorConfig, rows: int, biased=False, force_n=No
     return v, K, _coefficients(int(K.max()), dist)
 
 
-def _series(params, cache: BlockCache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
+def _series(params, cache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
     """The one loop over series terms: per-row values and Neumann cotangent.
 
     Row i reads probe ``v[i]``, truncation ``K[i]`` and the point
@@ -236,6 +244,7 @@ def _series(params, cache: BlockCache, v, K, val_coefs, grad_coefs=None, point_o
     ``block_vjp`` when it accumulates ``w``, else with ``block_jvp``; every
     step works in prefix slices of one set of work buffers.
     """
+    cache = derive_cache(params, cache, slopes_only=True)
     order = np.argsort(-K, kind="stable")
     ks, vs = K[order], v[order]
     # the chain reads slopes alone: gather them once in sorted order and
@@ -250,7 +259,7 @@ def _series(params, cache: BlockCache, v, K, val_coefs, grad_coefs=None, point_o
     cur, work = vs, work_buffers(params, v.shape[0])
     for k in range(1, int(steps.max(initial=0)) + 1):
         m = int(np.searchsorted(-steps, -k, side="right"))
-        prefix = BlockCache(inputs=[], pre=[], slope=[s[:m] for s in slopes], betas=[])
+        prefix = DerivedCache(slope=[s[:m] for s in slopes])
         cur = step(params, None, cur[:m], cache=prefix, work=work)
         if values is not None:
             values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
@@ -261,7 +270,7 @@ def _series(params, cache: BlockCache, v, K, val_coefs, grad_coefs=None, point_o
     return (None if values is None else values[rank]), (None if w is None else w[rank])
 
 
-def _differentiated_series(params, x, v, coefs, cache: BlockCache, meter=None):
+def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None):
     """Per-row values of ``sum_k coefs[k-1] v_i^T J^k v_i``, and its gradients.
 
     ``d(v^T J^k v)/dtheta`` expands into k bilinear forms pairing the
@@ -306,26 +315,36 @@ def _point_means(a: np.ndarray, n: int, nh: int) -> np.ndarray:
 
 def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None):
     """``n`` estimates, each the mean of ``n_hutchinson`` draws, at row j of
-    ``X`` or at its only row: (values, total series terms)."""
+    ``X`` or at its only row: (values, total series terms, ``g(X)``)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     nh = cfg.n_hutchinson
     v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased, force_n)
-    _, cache = block_forward_cache(params, X, slopes_only=True)
+    g, cache = block_forward_cache(params, X)
+    cache = derive_cache(params, cache, slopes_only=True)  # frees z and s before the series
     values, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(n * nh) // nh)
-    return _point_means(values, n, nh), K.reshape(n, nh).sum(axis=1)
+    return _point_means(values, n, nh), K.reshape(n, nh).sum(axis=1), g
 
 
 def roulette_logdet_rows(
-    params: BlockParams, X: np.ndarray, cfg: EstimatorConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One unbiased estimate per row of ``X``: (values, series terms per row)."""
+    params: BlockParams,
+    X: np.ndarray,
+    cfg: EstimatorConfig,
+    rng: np.random.Generator,
+):
+    """One unbiased estimate per row of ``X``: (values, series terms per row,
+    ``g(X)``), the last the block output of the forward the estimate was
+    built on, bit for bit ``block_forward``."""
     return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)))
 
 
 def biased_logdet_rows(
-    params: BlockParams, X: np.ndarray, cfg: EstimatorConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed-truncation estimate per row of ``X``."""
+    params: BlockParams,
+    X: np.ndarray,
+    cfg: EstimatorConfig,
+    rng: np.random.Generator,
+):
+    """One fixed-truncation estimate per row of ``X``; returns as
+    :func:`roulette_logdet_rows`."""
     return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)), biased=True)
 
 
@@ -339,7 +358,7 @@ def roulette_logdet_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` unbiased estimates at one point: (values, series terms).
     Expected work is ``n_exact + 1/q`` terms; ``force_n`` fixes the tail."""
-    return _logdet_values(params, x, cfg, rng, n_samples, force_n=force_n)
+    return _logdet_values(params, x, cfg, rng, n_samples, force_n=force_n)[:2]
 
 
 def biased_logdet_batch(
@@ -351,7 +370,7 @@ def biased_logdet_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` fixed-truncation estimates at one point: (values, terms).
     Deterministic given the probes, but biased; the bias grows with Lip(g)."""
-    return _logdet_values(params, x, cfg, rng, n_samples, biased=True)
+    return _logdet_values(params, x, cfg, rng, n_samples, biased=True)[:2]
 
 
 def neumann_logdet_grad(
@@ -372,10 +391,11 @@ def neumann_logdet_grad(
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _, cache = block_forward_cache(params, x)
-    # forward intermediates; probes, running product, accumulated cotangent
-    held = len(cache.inputs) + len(cache.pre) + len(cache.slope) + 3
+    # the kept forward (x, z and s); probes, running product, accumulated cotangent
+    held = 1 + len(cache.pre) + len(cache.act) + 3
     meter = meter or StorageMeter()
     meter.retain(held)
+    cache = derive_cache(params, cache)
     v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, cfg.n_hutchinson, force_n=force_n)
     _, w = _series(params, cache, v, K, None, grad_coefs)
     grads, input_grad = bilinear_param_grad(params, x, w, v, cache=cache, want_input_grad=True)
@@ -406,9 +426,10 @@ def naive_series_grad(
     if x.ndim != 1:
         raise GuardError("naive series gradient takes a single point")
     _, cache = block_forward_cache(params, x)
-    held = len(cache.inputs) + len(cache.pre) + len(cache.slope)
+    held = 1 + len(cache.pre) + len(cache.act)
     meter = meter or StorageMeter()
     meter.retain(held)
+    cache = derive_cache(params, cache)
     probes = np.eye(params.dim) if v is None else np.asarray(v, dtype=np.float64)[None, :]
     coefs, _ = _coefficients(n_terms)
     _, grads, input_grad = _differentiated_series(params, x, probes, coefs, cache, meter)
@@ -427,6 +448,7 @@ def neumann_grad_exact_trace(params: BlockParams, x: np.ndarray, n_terms: int) -
         raise GuardError("need at least one term")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _, cache = block_forward_cache(params, x)
+    cache = derive_cache(params, cache)
     probes, K = np.eye(params.dim), np.full(params.dim, n_terms)
     _, w = _series(params, cache, probes, K, None, _coefficients(n_terms)[1])
     return bilinear_param_grad(params, x, w, probes, cache=cache)
@@ -448,6 +470,7 @@ def neumann_grad_samples(
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _, cache = block_forward_cache(params, x)
+    cache = derive_cache(params, cache)
     total = total_sq = terms_total = 0.0
     for done in range(0, n_samples, chunk):
         v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, min(chunk, n_samples - done))
@@ -471,6 +494,8 @@ def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False)
         out_cot = None if out_cot is None else np.repeat(out_cot, nh, axis=0)
     if cache is None:
         _, cache = block_forward_cache(params, X)
+    # the block's slopes, sd1, common and hidden inputs, formed only now
+    cache = derive_cache(params, cache)
     v, K, coefs = _draw(rng, params.dim, cfg, n * nh, biased)
     if biased:
         values, grads, input_grad = _differentiated_series(params, X, v, coefs[0], cache)
@@ -489,7 +514,7 @@ def roulette_value_and_neumann_grad_rows(
     X: np.ndarray,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-    cache: BlockCache | None = None,
+    cache=None,
     out_cot: np.ndarray | None = None,
 ):
     """Training-time unbiased value and gradient for a batch of points.
@@ -511,7 +536,7 @@ def biased_value_and_grad_rows(
     X: np.ndarray,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-    cache: BlockCache | None = None,
+    cache=None,
 ):
     """Training-time fixed-truncation value and gradient for a batch.
 

@@ -280,7 +280,9 @@ def lipschitz_constraint_vjp(params: BlockParams, grads: BlockGrads) -> BlockGra
         if f == 1.0:
             continue
         sigma = f * lay.pi_estimate
-        g.weight = g.weight / f - (np.vdot(g.weight, lay.weight) / sigma) * norm_gradient(lay)
+        # <G, W> as a numpy sum: a BLAS dot's summation order follows its thread split
+        inner = float(np.sum(g.weight * lay.weight))
+        g.weight = g.weight / f - (inner / sigma) * norm_gradient(lay)
     return grads
 
 

@@ -8,8 +8,10 @@ truncation differentiated term by term, or the dense exact oracle.  Both
 parts propagate input cotangents upstream, so downstream blocks'
 log-determinants correctly contribute gradient to upstream parameters.
 In unbiased mode the two parts share one reverse pass per block
-(``blocks.block_param_grad``), and each block's forward cache is dropped
-as soon as that pass is done.
+(``blocks.block_param_grad``).  The forward keeps two arrays per hidden
+layer and block, in buffers reused from step to step; the arrays the
+series and the reverse pass read are derived from them one block at a
+time, right before that block's pass (``blocks.derive_cache``).
 
 The optimizer's variable is the unnormalized parameter vector ``V``, as
 in spectral normalization: the model's weights are derived from it as
@@ -34,8 +36,10 @@ import numpy as np
 from resflow.blocks import (
     block_forward_cache,
     block_param_grad_of_output,
+    derive_cache,
     grads_vector,
     param_vector,
+    release_workspace,
     set_param_vector,
 )
 from resflow.checkpoint import save_checkpoint
@@ -174,14 +178,15 @@ def nll_and_grad(
     if mode != "exact" and (est_cfg is None or rng is None):
         raise ValueError(f"mode {mode!r} needs an estimator config and rng")
 
-    # forward, keeping per-layer inputs and block caches
+    # forward, keeping per-layer inputs and block caches; each block's (z, s)
+    # stay in its own workspace slot, reused from step to step
     inputs: list[np.ndarray] = []
     caches: list = []
     h = X
-    for lay in model.layers:
+    for idx, lay in enumerate(model.layers):
         inputs.append(h)
         if isinstance(lay, ResidualBlock):
-            g, cache = block_forward_cache(lay.params, h)
+            g, cache = block_forward_cache(lay.params, h, slot=idx)
             caches.append(cache)
             h = h + g
         else:
@@ -221,23 +226,21 @@ def nll_and_grad(
             terms_mean += float(terms.mean())
             bg.scale_(-1.0)
         else:
-            bg, vjp = block_param_grad_of_output(
-                block, x_in, cot, cache=caches[idx], return_vjp=True
-            )
+            cache = derive_cache(block, caches[idx])
+            bg, vjp = block_param_grad_of_output(block, x_in, cot, cache=cache, return_vjp=True)
             cot = cot + vjp
             if mode == "exact":
                 values = exact_logdet(block, x_in)
-                lg, ig = exact_logdet_grad(block, x_in, cache=caches[idx], want_input_grad=True)
+                lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)
             else:
                 values, terms, lg, ig = biased_value_and_grad_rows(
-                    block, x_in, est_cfg, rng, cache=caches[idx]
+                    block, x_in, est_cfg, rng, cache=cache
                 )
                 terms_mean += float(terms.mean())
             bg.add_(lg, scale=-1.0)
         logdet_sum += values
         cot = cot - ig
         grads[idx] = bg
-        caches[idx] = None  # no block state outlives its reverse pass
 
     loss = float(np.mean(-base - logdet_sum))
     inv_n = 1.0 / n
@@ -357,7 +360,8 @@ def train_step(state: TrainState, batch: np.ndarray) -> dict:
     record = {
         "step": state.step,
         "train_nll_nats": loss,
-        "grad_norm": float(np.linalg.norm(flat_grad)),
+        # not np.linalg.norm: a BLAS dot's summation order follows its thread split
+        "grad_norm": float(np.sqrt(np.sum(flat_grad * flat_grad))),
         "mean_terms_evaluated": aux["mean_terms"],
         "layer_norms": norms,
     }
@@ -432,6 +436,7 @@ def fit(cfg: TrainConfig, out_dir: str | Path, progress: bool = False) -> TrainS
             if cfg.checkpoint_every and state.step % cfg.checkpoint_every == 0:
                 save_state_checkpoint(state, out / f"checkpoint_step{state.step}.txt")
     save_state_checkpoint(state, out / "checkpoint_final.txt")
+    release_workspace()
     return state
 
 

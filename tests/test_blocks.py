@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resflow.blocks import (
-    BlockCache,
     BlockParams,
+    DerivedCache,
     LayerParams,
     bilinear_param_grad,
     bilinear_param_grad_per_sample,
@@ -18,12 +18,15 @@ from resflow.blocks import (
     block_param_grad,
     block_param_grad_of_output,
     block_vjp,
+    derive_cache,
     grads_vector,
     param_count,
     param_vector,
+    release_workspace,
     set_param_vector,
     work_buffers,
 )
+from resflow.activations import LIPSWISH_SCALE, sigmoid
 from resflow.errors import GuardError, ShapeError
 from resflow.norms import init_block_params
 
@@ -331,6 +334,11 @@ def assert_bits_equal(a, b):
 class TestWorkBuffers:
     """Kernels given work buffers equal the fresh-allocation calls bit for bit."""
 
+    @pytest.fixture(autouse=True)
+    def _release(self):
+        yield
+        release_workspace()  # the test slots would outlive the test otherwise
+
     @staticmethod
     def dirty_work(params, rows):
         work = work_buffers(params, rows, 3)
@@ -347,9 +355,10 @@ class TestWorkBuffers:
         rng = np.random.default_rng(5)
         X, V = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
         _, cache = block_forward_cache(params, X)
+        slopes = derive_cache(params, cache, slopes_only=True).slope
         work = self.dirty_work(params, 20)
         for m in (12, 5, 1):  # prefix slices of the cache, as the series loop takes them
-            prefix = BlockCache(inputs=[], pre=[], slope=[s[:m] for s in cache.slope], betas=[])
+            prefix = DerivedCache(slope=[s[:m] for s in slopes])
             for kernel in (block_jvp, block_vjp):
                 fresh = kernel(params, None, V[:m], cache=prefix)
                 buffered = kernel(params, None, V[:m], cache=prefix, work=work)
@@ -391,14 +400,88 @@ class TestWorkBuffers:
     def test_slopes_only_cache_keeps_the_same_slopes(self, case):
         params = uneven_block() if case == "uneven" else make_block(seed=10, n_layers=int(case[0]))
         X = np.random.default_rng(11).standard_normal((9, 2))
-        g, full = block_forward_cache(params, X)
-        g_slopes, lean = block_forward_cache(params, X, slopes_only=True)
-        assert_bits_equal(g_slopes, g)
+        _, cache = block_forward_cache(params, X)
+        full, lean = derive_cache(params, cache), derive_cache(params, cache, slopes_only=True)
         assert len(lean.slope) == len(full.slope) and lean.betas == full.betas
         for a, b in zip(lean.slope, full.slope):
             assert_bits_equal(a, b)
         assert not (lean.inputs or lean.pre or lean.sd1 or lean.common)
         assert_bits_equal(block_dense_jacobian(params, X), block_dense_jacobian(params, X, cache=full))
+
+    @staticmethod
+    def five_array_cache(params, X):
+        """g(X) and the five arrays per hidden layer the forward cache kept
+        before it kept ``z`` and ``s`` alone, with that forward's arithmetic."""
+        h, inputs, pre, slope, sd1s, commons = X, [], [], [], [], []
+        for lay in params.layers[:-1]:
+            z = h @ lay.weight.T
+            z += lay.bias
+            inputs.append(h)
+            pre.append(z)
+            t = lay.beta * z
+            s = sigmoid(t)
+            sd1 = 1.0 - s
+            sd1 *= s
+            d1 = t * sd1
+            d1 += s
+            d1 /= LIPSWISH_SCALE
+            common = s * -2.0
+            common += 1.0
+            common *= t
+            common += 2.0
+            common *= sd1
+            common /= LIPSWISH_SCALE
+            slope.append(d1)
+            sd1s.append(sd1)
+            commons.append(common)
+            h = z * s
+            h /= LIPSWISH_SCALE
+        inputs.append(h)
+        g = h @ params.layers[-1].weight.T
+        g += params.layers[-1].bias
+        return g, dict(inputs=inputs, pre=pre, slope=slope, sd1=sd1s, common=commons)
+
+    @pytest.mark.parametrize("slot", [None, "slot"], ids=["fresh", "workspace"])
+    @pytest.mark.parametrize("rows", [1, 37])
+    @pytest.mark.parametrize("case", ["1-layer", "2-layer", "3-layer", "uneven"])
+    def test_derived_arrays_match_the_five_array_cache(self, case, rows, slot):
+        params = uneven_block() if case == "uneven" else make_block(seed=12, hidden=16, n_layers=int(case[0]))
+        X = np.random.default_rng(13).standard_normal((rows, 2)) * 3.0
+        g_ref, ref = self.five_array_cache(params, X)
+        g, cache = block_forward_cache(params, X, slot=None if slot is None else (slot, case))
+        assert_bits_equal(g, g_ref)
+        assert_bits_equal(g, block_forward(params, X))
+        assert len(cache.pre) == len(cache.act) == len(params.layers) - 1
+        derived = derive_cache(params, cache)
+        for name, arrays in ref.items():
+            got = getattr(derived, name)
+            assert len(got) == len(arrays), name
+            for a, b in zip(got, arrays):
+                assert_bits_equal(a, b)
+        for a, b in zip(derive_cache(params, cache, slopes_only=True).slope, ref["slope"]):
+            assert_bits_equal(a, b)
+
+    def test_workspace_cache_lives_until_its_slot_is_reused(self):
+        params = make_block(seed=14, hidden=16)
+        rng = np.random.default_rng(15)
+        X, Y = rng.standard_normal((2, 9, 2))
+        _, first = block_forward_cache(params, X, slot="a")
+        kept = [a.copy() for a in first.pre + first.act]
+        _, other = block_forward_cache(params, Y, slot="b")
+        derive_cache(params, other)
+        assert all(np.array_equal(a, b) for a, b in zip(first.pre + first.act, kept))
+        _, again = block_forward_cache(params, Y, slot="a")
+        assert all(np.shares_memory(a, b) for a, b in zip(first.pre, again.pre))
+
+    def test_release_drops_every_slot(self):
+        params = make_block(seed=16, hidden=16)
+        X = np.random.default_rng(17).standard_normal((9, 2))
+        _, first = block_forward_cache(params, X, slot="a")
+        kept = [a.copy() for a in first.pre + first.act]
+        release_workspace()
+        _, again = block_forward_cache(params, X, slot="a")
+        assert not any(np.shares_memory(a, b) for a, b in zip(first.pre + first.act, again.pre + again.act))
+        assert all(np.array_equal(a, b) for a, b in zip(first.pre + first.act, kept))
 
     def test_one_set_serves_blocks_of_different_widths(self):
         narrow, wide = make_block(seed=8, hidden=4), uneven_block()

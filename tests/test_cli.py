@@ -1,12 +1,19 @@
 """Command-line interface contracts: files, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from resflow.cli import build_parser, build_train_config, main, parse_overrides
 from resflow.grid import read_grid_csv
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_cli(*args):
@@ -79,6 +86,37 @@ class TestTrain:
         config = (out / "config.txt").read_text()
         assert "estimator.kind = biased" in config
         assert "estimator.n_fixed = 5" in config
+
+    def test_blas_thread_count_does_not_change_training_bytes(self, tmp_path):
+        """The same run with BLAS on 1 and on 2 threads writes the same bytes.
+
+        At the acceptance width (hidden 128, batch 512) every reduction that
+        reaches an output is large enough for a BLAS dot to split it between
+        threads, which changes its summation order; ``lr=0.05`` rescales
+        layers from the first step, so the constraint's gradient is on the
+        path too.
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        runner = "import sys; from resflow.cli import main; sys.exit(main())"
+        outs = {}
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            out = tmp_path / f"blas{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-c", runner, "train", "--out-dir", str(out),
+                 "--blocks", "2", "--steps", "6", "--train.hidden=128",
+                 "--train.batch_size=512", "--train.lr=0.05", "--train.n_eval=200",
+                 "--train.eval_every=3", "--train.checkpoint_every=0"],
+                env=env, capture_output=True, text=True, timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs[threads] = [(out / name).read_bytes() for name in ("metrics.jsonl", "checkpoint_final.txt")]
+        records = [json.loads(line) for line in outs["1"][0].decode().splitlines()]
+        rescaled = [n == 0.98 for rec in records[1:] for block in rec["layer_norms"] for n in block]
+        assert any(rescaled)
+        assert outs["1"][0] == outs["2"][0]
+        assert outs["1"][1] == outs["2"][1]
 
     def test_missing_config_file_exits_2_naming_path(self, tmp_path, capsys):
         code = run_cli("train", "--config", str(tmp_path / "absent.cfg"))

@@ -179,7 +179,7 @@ class TestRouletteLogdet:
         # the rows route forwards every copy of the point; the batch route
         # shares one forward cache between all draws
         rows = np.tile(X0, (4000, 1))
-        singles, _ = roulette_logdet_rows(params, rows, cfg, np.random.default_rng(7))
+        singles, _, _ = roulette_logdet_rows(params, rows, cfg, np.random.default_rng(7))
         batch, _ = roulette_logdet_batch(params, X0, cfg, np.random.default_rng(8), 4000)
         # same estimator, independent streams: means within joint 4 SE
         se = np.sqrt(singles.var(ddof=1) / 4000 + batch.var(ddof=1) / 4000)
@@ -193,7 +193,7 @@ class TestRouletteLogdet:
         acc = np.zeros(5)
         M = 4000
         for _ in range(M):
-            vals, _ = roulette_logdet_rows(params, X, cfg, rng)
+            vals, _, _ = roulette_logdet_rows(params, X, cfg, rng)
             acc += vals
         exact = exact_logdet(params, X)
         np.testing.assert_allclose(acc / M, exact, atol=0.05)

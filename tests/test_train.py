@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from resflow import blocks
 from resflow.blocks import BlockParams, LayerParams, block_param_grad_of_output
 from resflow.config import TrainConfig
 from resflow.flow import ActNorm, FlowModel, ResidualBlock, log_density_batch
@@ -299,7 +300,7 @@ def objective_gap(state, probe, kind):
             else:
                 from resflow.logdet import roulette_logdet_rows
 
-                reported, _ = roulette_logdet_rows(lay.params, h, est, rng)
+                reported, _, _ = roulette_logdet_rows(lay.params, h, est, rng)
             total_gap += reported - exact
         h = lay.forward(h)
     return float(total_gap.mean()), float(total_gap.std(ddof=1) / np.sqrt(len(total_gap)))
@@ -310,6 +311,7 @@ class TestFit:
         cfg = tiny_cfg(steps=3, eval_every=2, checkpoint_every=2)
         state = fit(cfg, tmp_path)
         assert state.step == 3
+        assert not blocks._workspace.__dict__  # fit frees the training workspace
         assert (tmp_path / "config.txt").exists()
         assert (tmp_path / "checkpoint_final.txt").exists()
         assert (tmp_path / "checkpoint_step2.txt").exists()
@@ -339,3 +341,96 @@ class TestFit:
         fit(cfg, tmp_path / "b")
         for name in ("metrics.jsonl", "config.txt", "checkpoint_final.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def flat_step_outputs(state, loss, grads, aux):
+    """Copies of everything one ``nll_and_grad`` call handed back."""
+    return loss, state.packer.pack_grads(state.model, grads).copy(), dict(aux)
+
+
+class TestWorkspace:
+    """The training step keeps each block's (z, s) in reused buffers."""
+
+    def test_warmed_step_allocates_less_than_it_keeps(self):
+        """tracemalloc peak of one warmed ``nll_and_grad`` at the acceptance
+        config (10 blocks, hidden 128, batch 512).
+
+        Every block's kept ``z`` and ``s`` come to ``kept`` bytes and the
+        returned gradients to ``grad`` bytes.  A step that allocated the kept
+        arrays afresh would peak above ``kept`` alone (five arrays per hidden
+        layer and block read 55.5 MiB); one that reuses them allocates the
+        gradients plus what one block's series and reverse pass need
+        (6.5 MiB measured), so the bound leaves ``kept / 2`` for those.
+        """
+        import tracemalloc
+
+        state = init_train_state(tiny_cfg(blocks=10, hidden=128, batch_size=512))
+        X = state.dataset.sample(512)
+        args = dict(est_cfg=state.est_cfg, rng=np.random.default_rng(3))
+        for _ in range(2):
+            nll_and_grad(state.model, X, "unbiased", **args)
+        hidden_layers = sum(len(b.params.layers) - 1 for b in state.model.blocks())
+        kept = 2 * hidden_layers * 512 * 128 * 8
+        grad = 8 * state.packer.total
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nll_and_grad(state.model, X, "unbiased", **args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < grad + kept / 2, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("kind", ["unbiased", "biased", "exact"])
+    def test_returned_outputs_survive_the_next_step(self, kind):
+        state = init_train_state(tiny_cfg(hidden=16, batch_size=32))
+        X1, X2 = state.dataset.sample(32), state.dataset.sample(32)
+        mode_args = {} if kind == "exact" else dict(est_cfg=state.est_cfg, rng=state.rng_train)
+        out = nll_and_grad(state.model, X1, kind, **mode_args)
+        kept = flat_step_outputs(state, *out)
+        nll_and_grad(state.model, X2, kind, **mode_args)
+        again = flat_step_outputs(state, *out)
+        assert kept[0] == again[0] and kept[2] == again[2]
+        np.testing.assert_array_equal(kept[1], again[1])
+
+    def test_step_record_survives_the_next_step(self):
+        state = init_train_state(tiny_cfg(hidden=16, batch_size=32))
+        record = train_step(state, state.dataset.sample(32))
+        kept = json.dumps(record, sort_keys=True)
+        train_step(state, state.dataset.sample(32))
+        assert json.dumps(record, sort_keys=True) == kept
+
+    def test_interleaved_models_match_separate_processes(self):
+        """Two models of different width and batch size, stepped in turn in
+        one process, give the bytes each gives alone in a fresh process."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = """
+import hashlib, json, sys
+from resflow.config import TrainConfig
+from resflow.train import init_train_state, train_step
+CFGS = {"a": dict(blocks=2, hidden=16, batch_size=32), "b": dict(blocks=3, hidden=24, batch_size=48)}
+states = {k: init_train_state(TrainConfig(seed=5, **CFGS[k])) for k in sys.argv[1:]}
+digests = {k: hashlib.sha256() for k in states}
+for _ in range(3):
+    for k, st in states.items():
+        rec = train_step(st, st.dataset.sample(st.cfg.batch_size))
+        digests[k].update(json.dumps(rec, sort_keys=True).encode())
+        digests[k].update(st.params.tobytes())
+print(json.dumps({k: d.hexdigest() for k, d in digests.items()}))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def run(*names):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *names], capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src}, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout)
+
+        together = run("a", "b")
+        assert together == {**run("a"), **run("b")}

@@ -2,8 +2,8 @@
 
 The residual branches use LipSwish, ``z * sigmoid(beta * z) / 1.1``, whose
 slope stays strictly below 1 for every ``beta > 0`` while its curvature
-stays bounded away from zero near the maximal-slope region.  Softplus and
-ELU are included only as saturating references for the curvature
+stays bounded away from zero near the maximal-slope region.  Softplus
+reparameterizes ``beta`` and is the saturating reference of the curvature
 comparison tests; the branch network itself always uses LipSwish.
 
 All functions broadcast over numpy arrays and are total (no domain
@@ -114,7 +114,7 @@ def raw_from_beta(beta: float) -> float:
     return float(np.log(np.expm1(beta)))
 
 
-# -- saturating references for the curvature-contrast tests ----------------
+# -- softplus: beta's reparameterization and the saturating reference ------
 
 
 def softplus(z):
@@ -130,17 +130,3 @@ def softplus_d1(z):
 def softplus_d2(z):
     return _sigmoid_d1(z)
 
-
-def elu(z, alpha: float = 1.0):
-    z = np.asarray(z, dtype=np.float64)
-    return np.where(z > 0, z, alpha * np.expm1(np.minimum(z, 0.0)))
-
-
-def elu_d1(z, alpha: float = 1.0):
-    z = np.asarray(z, dtype=np.float64)
-    return np.where(z > 0, 1.0, alpha * np.exp(np.minimum(z, 0.0)))
-
-
-def elu_d2(z, alpha: float = 1.0):
-    z = np.asarray(z, dtype=np.float64)
-    return np.where(z > 0, 0.0, alpha * np.exp(np.minimum(z, 0.0)))

@@ -66,6 +66,9 @@ from resflow.errors import GuardError, ShapeError
 
 DENSE_JACOBIAN_MAX_DIM = 16
 
+# (norm_in, norm_out) pairs the Lipschitz constraint can measure
+SUPPORTED_NORM_ORDERS = {(1.0, 1.0), (2.0, 2.0), (np.inf, np.inf)}
+
 
 @dataclass
 class LayerParams:
@@ -73,11 +76,14 @@ class LayerParams:
 
     ``raw_beta`` is None on the final layer (no activation after it).
     ``norm_in``/``norm_out`` are the vector-norm orders of the layer's
-    input and output spaces; the induced (norm_in -> norm_out) norm of
-    ``weight`` is what the Lipschitz constraint bounds.  ``pi_u`` caches
-    the power-iteration vector between constraint applications, and
-    ``pi_scale`` is the factor ``f >= 1`` the last application divided the
-    weight by (what its gradient needs).
+    input and output spaces, a pair from ``SUPPORTED_NORM_ORDERS``; the
+    induced norm of ``weight`` for that pair (spectral for 2, max column /
+    row abs sum for 1 / inf) is what the Lipschitz constraint bounds.
+    ``pi_u`` caches the spectral power-iteration vector between constraint
+    applications, ``pi_estimate`` the last measured norm and
+    ``pi_iters_used`` the steps it took; ``pi_scale`` is the factor
+    ``f >= 1`` the last application divided the weight by (what its
+    gradient needs).
     """
 
     weight: np.ndarray
@@ -132,6 +138,11 @@ class BlockParams:
                 raise ShapeError(f"layer {i}: weight/bias shapes do not agree")
             if not np.all(np.isfinite(lay.weight)) or not np.all(np.isfinite(lay.bias)):
                 raise ShapeError(f"layer {i}: non-finite parameters")
+            if (lay.norm_in, lay.norm_out) not in SUPPORTED_NORM_ORDERS:
+                raise ShapeError(
+                    f"layer {i}: norm orders ({lay.norm_in}, {lay.norm_out}) are not "
+                    "one of (1, 1), (2, 2), (inf, inf)"
+                )
         for i in range(len(layers) - 1):
             if layers[i].weight.shape[0] != layers[i + 1].weight.shape[1]:
                 raise ShapeError(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from resflow.blocks import BlockParams, LayerParams
-from resflow.errors import ConfigError
+from resflow.errors import ConfigError, ShapeError
 from resflow.flow import ActNorm, FlowModel, ResidualBlock
 
 FORMAT_TAG = "resflow-checkpoint-v1"
@@ -95,7 +95,18 @@ def load_checkpoint(path: str | Path):
             continue
         key, _, value = line.partition(" = ")
         kv[key] = value
+    try:
+        model = _model_from_kv(kv)
+    except ShapeError as exc:
+        raise ConfigError(f"checkpoint {path} holds an invalid model: {exc}") from exc
+    meta = {k[len("meta.") :]: v for k, v in kv.items() if k.startswith("meta.")}
+    arrays = {
+        k[len("array.") :]: _parse_floats(v) for k, v in kv.items() if k.startswith("array.")
+    }
+    return model, meta, arrays
 
+
+def _model_from_kv(kv: dict[str, str]) -> FlowModel:
     def need(key: str) -> str:
         if key not in kv:
             raise ConfigError(f"checkpoint missing key {key!r}")
@@ -139,8 +150,4 @@ def load_checkpoint(path: str | Path):
             raise ConfigError(f"unknown layer kind {kind!r} in checkpoint")
     model = FlowModel(dim=dim, layers=layers)
     model.validate()
-    meta = {k[len("meta.") :]: v for k, v in kv.items() if k.startswith("meta.")}
-    arrays = {
-        k[len("array.") :]: _parse_floats(v) for k, v in kv.items() if k.startswith("array.")
-    }
-    return model, meta, arrays
+    return model

@@ -47,10 +47,6 @@ class RetainedList:
         if self.meter is not None:
             self.meter.retain()
 
-    def replace_last(self, arr) -> None:
-        """Overwrite the most recent item in place (no net retention)."""
-        self.items[-1] = arr
-
     def __getitem__(self, i):
         return self.items[i]
 

@@ -2,91 +2,52 @@
 
 A residual block stays invertible when its branch is a contraction.  We
 bound the branch Jacobian through sub-multiplicativity: every weight
-matrix is rescaled so its induced ``(p_in -> p_out)`` operator norm is at
-most a coefficient below 1, with the per-layer norm orders chaining so
-the whole branch maps back into its input normed space.
+matrix is rescaled so its induced operator norm is at most a coefficient
+below 1.  Each layer uses one of three norms, the same on its input and
+output space: the spectral norm (``p = 2``) or the exact max column /
+row abs sums (``p = 1`` / ``p = inf``).
 
-Norms for ``p in {1, inf}`` are exact row/column sums.  Everything else
-uses a generalized power iteration (dual-norm ascent, reducing to the
-classic iteration at ``p = q = 2``) whose estimate is a lower bound of
-the true norm; following standard spectral-normalization practice the
-estimate is treated as the norm when rescaling.  Iteration counts are
-adaptive: warm-started states converge in a couple of steps after small
-weight updates.
+The spectral norm is estimated by the classic power iteration of
+spectral normalization (Miyato et al.; i-ResNet and Residual Flows use it
+the same way), warm-started from the previous step's vector so a small
+weight update converges in a step or two.  Its estimate is a lower bound
+of the true norm and is treated as the norm when rescaling;
+:func:`checkpoint_constraint` then checks every layer against its exact
+norm, so every model that is evaluated, sampled or diagnosed keeps each
+layer within ``coeff * (1 + CERTIFY_TOL)`` or fails with a typed error.
 
-Training follows spectral normalization (Miyato et al.; i-ResNet and
-Residual Flows use it the same way): the optimizer owns a free matrix
+Training follows spectral normalization: the optimizer owns a free matrix
 ``V`` and the model uses ``W = V / max(1, ||V|| / coeff)``.  The backward
-pass goes through the norm, with the power-iteration vectors held fixed,
+pass goes through the norm, with the power-iteration vector held fixed,
 via :func:`lipschitz_constraint_vjp`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from resflow.blocks import BlockGrads, BlockParams, LayerParams
-from resflow.errors import NormalizationError, ShapeError
+from resflow.errors import NormalizationError
 
 EXACT_ORDERS = {(1.0, 1.0), (np.inf, np.inf)}
 
 NORM_PRESETS = {"spectral": 2.0, "inf": np.inf, "one": 1.0}
 
-
-@dataclass
-class NormSpec:
-    """How to measure one layer's induced norm."""
-
-    p_in: float
-    p_out: float
-    method: str = "power-iteration"  # or "exact"
-    tol: float = 1e-3
-    max_iters: int = 200
-    max_iters_warm: int = 10
-
-    def __post_init__(self) -> None:
-        if not (1.0 <= self.p_in <= np.inf and 1.0 <= self.p_out <= np.inf):
-            raise ValueError("norm orders must lie in [1, inf]")
-        if self.method == "exact" and (self.p_in, self.p_out) not in EXACT_ORDERS:
-            raise ValueError(
-                f"exact method only for p in {{1, inf}} with p_in == p_out, "
-                f"got ({self.p_in}, {self.p_out})"
-            )
-        if self.method not in ("exact", "power-iteration"):
-            raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass
-class PowerIterState:
-    """Warm-startable iterate for one weight matrix."""
-
-    u: np.ndarray
-    last_estimate: float | None = None
-    iters_used: int = 0
+# relative excess over coeff that checkpoint_constraint tolerates in the exact norm
+CERTIFY_TOL = 1e-3
 
 
 def vector_norm(x: np.ndarray, p: float) -> np.ndarray:
+    """``p``-norm over the last axis, for ``p`` in {1, 2, inf}."""
     x = np.asarray(x, dtype=np.float64)
     if p == np.inf:
         return np.max(np.abs(x), axis=-1)
     if p == 1.0:
         return np.sum(np.abs(x), axis=-1)
-    return np.sum(np.abs(x) ** p, axis=-1) ** (1.0 / p)
-
-
-def dual_exponent(p: float) -> float:
-    if p == 1.0:
-        return np.inf
-    if p == np.inf:
-        return 1.0
-    return p / (p - 1.0)
-
-
-def _dual_direction(y: np.ndarray, p: float) -> np.ndarray:
-    """Gradient direction of the p-norm: sign(y) |y|^(p-1), unnormalized."""
-    return np.sign(y) * np.abs(y) ** (p - 1.0)
+    if p == 2.0:
+        # a numpy sum, not np.linalg.norm or a BLAS dot: those round differently
+        return np.sum(np.abs(x) ** 2.0, axis=-1) ** 0.5
+    raise ValueError(f"vector norm only for p in {{1, 2, inf}}, got {p}")
 
 
 def exact_induced_norm(W: np.ndarray, p: float) -> float:
@@ -101,91 +62,72 @@ def exact_induced_norm(W: np.ndarray, p: float) -> float:
     raise ValueError(f"exact induced norm only available for p in {{1, inf}}, got {p}")
 
 
-def cold_start_vector(shape: tuple[int, int], p_in: float) -> np.ndarray:
-    """Deterministic, generic starting iterate for a matrix of this shape."""
+def cold_start_vector(shape: tuple[int, int]) -> np.ndarray:
+    """Deterministic, generic unit starting vector for a matrix of this shape."""
     rng = np.random.default_rng(np.random.SeedSequence([shape[0], shape[1], 9241]))
     u = rng.standard_normal(shape[1])
-    return u / vector_norm(u, p_in)
+    return u / vector_norm(u, 2.0)
 
 
-def adaptive_iters_policy(state: PowerIterState | None, spec: NormSpec) -> int:
-    """Iteration budget for this call: full on a cold start, short when warm."""
-    if state is None or state.last_estimate is None:
-        return spec.max_iters
-    return spec.max_iters_warm
+def spectral_power_iteration(
+    W: np.ndarray,
+    u: np.ndarray | None = None,
+    last_estimate: float | None = None,
+    tol: float = 1e-3,
+    max_iters: int = 200,
+    max_iters_warm: int = 10,
+) -> tuple[float, np.ndarray, int]:
+    """Estimate the spectral norm ``||W||_2`` by power iteration on ``W^T W``.
 
-
-def mixed_norm_power_iteration(
-    W: np.ndarray, spec: NormSpec, state: PowerIterState | None = None
-) -> tuple[float, PowerIterState]:
-    """Estimate ``||W||_{p_in -> p_out}`` by dual-norm power iteration.
-
-    Each step maps the iterate through W, takes the dual direction of the
-    output norm, maps back through W^T, and takes the dual direction of
-    the input norm; for ``p_in = p_out = 2`` this is the standard power
-    iteration on W^T W.  Stops when the relative change of the estimate
-    drops below ``spec.tol`` or the adaptive budget is exhausted.  The
-    estimate is a lower bound of the true norm; it is deterministic given
-    (W, state).
+    Each step maps the unit vector ``x`` to ``y = W x``, reads the
+    estimate ``||y||``, and sets ``x = W^T y / ||W^T y||``.  Starts from
+    ``u`` (or :func:`cold_start_vector`) and stops when the estimate
+    changes by at most ``tol`` relative to the previous one, which starts
+    as ``last_estimate``; the budget is ``max_iters`` without a previous
+    estimate and ``max_iters_warm`` with one.  Returns the estimate, the
+    last vector and the number of steps taken.  The estimate is a lower
+    bound of the true norm, and zero if ``u`` lies in the nullspace of
+    ``W``; it is deterministic given ``(W, u, last_estimate)``.
     """
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise ShapeError("power iteration expects a matrix")
-    p, q = spec.p_in, spec.p_out
-    if not (1.0 < p < np.inf and 1.0 < q < np.inf):
-        raise ValueError("power iteration requires 1 < p_in, p_out < inf")
+    x = cold_start_vector(W.shape) if u is None else u
     if not W.any():
-        u = cold_start_vector(W.shape, p) if state is None else state.u
-        return 0.0, PowerIterState(u=u, last_estimate=0.0, iters_used=0)
-
-    x = cold_start_vector(W.shape, p) if state is None else state.u.copy()
-    prev = None if state is None else state.last_estimate
-    budget = adaptive_iters_policy(state, spec)
-    p_dual = dual_exponent(p)
+        return 0.0, x, 0
+    prev = last_estimate
+    budget = max_iters if last_estimate is None else max_iters_warm
     est = 0.0
     iters = 0
     for iters in range(1, budget + 1):
         y = W @ x
-        est = float(vector_norm(y, q))
+        est = float(vector_norm(y, 2.0))
         if est == 0.0:
-            # iterate fell into the nullspace; restart from a generic vector
-            x = cold_start_vector(W.shape, p)
-            prev = None
-            continue
-        z = _dual_direction(y, q)
-        w = W.T @ z
-        wn = vector_norm(w, p_dual)
-        if wn > 0:
-            x = _dual_direction(w, p_dual)
-            x = x / vector_norm(x, p)
-        if prev is not None and abs(est - prev) <= spec.tol * max(est, 1e-300):
+            break
+        w = W.T @ y
+        wn = vector_norm(w, 2.0)
+        if wn > 0:  # the squares of a tiny nonzero w can underflow to 0
+            x = w / wn
+        if prev is not None and abs(est - prev) <= tol * max(est, 1e-300):
             break
         prev = est
-    return est, PowerIterState(u=x, last_estimate=est, iters_used=iters)
+    return est, x, iters
 
 
 def induced_norm_for_layer(
     lay: LayerParams, tol: float = 1e-3, max_iters: int = 200, max_iters_warm: int = 10
 ) -> float:
     """Measure one layer's induced norm, maintaining its cached iterate."""
-    p_in, p_out = lay.norm_in, lay.norm_out
-    if (p_in, p_out) in EXACT_ORDERS:
-        est = exact_induced_norm(lay.weight, p_in)
+    if (lay.norm_in, lay.norm_out) in EXACT_ORDERS:
+        est = exact_induced_norm(lay.weight, lay.norm_in)
         lay.pi_estimate = est
         lay.pi_iters_used = 0
         return est
-    spec = NormSpec(
-        p_in=p_in, p_out=p_out, tol=tol, max_iters=max_iters, max_iters_warm=max_iters_warm
-    )
-    state = None
-    if lay.pi_u is not None:
+    last = None
+    if lay.pi_u is not None and lay.pi_estimate is not None:
         # after a rescale pi_estimate is coeff; the free matrix measured pi_scale times that
-        last = None if lay.pi_estimate is None else lay.pi_estimate * lay.pi_scale
-        state = PowerIterState(u=lay.pi_u, last_estimate=last)
-    est, new_state = mixed_norm_power_iteration(lay.weight, spec, state)
-    lay.pi_u = new_state.u
+        last = lay.pi_estimate * lay.pi_scale
+    est, lay.pi_u, lay.pi_iters_used = spectral_power_iteration(
+        lay.weight, lay.pi_u, last, tol=tol, max_iters=max_iters, max_iters_warm=max_iters_warm
+    )
     lay.pi_estimate = est
-    lay.pi_iters_used = new_state.iters_used
     return est
 
 
@@ -212,8 +154,8 @@ def apply_lipschitz_constraint(
     after rescaling.  Training applies this to the optimizer's free
     weights at every step and differentiates through ``f``, as spectral
     normalization does, rather than projecting the optimizer's own
-    variables.  A zero norm estimate for a nonzero matrix is treated as a
-    bug, not handled silently.
+    variables.  A zero norm estimate for a nonzero matrix (a warm-start
+    vector in the weight's nullspace) raises :class:`NormalizationError`.
     """
     check_coeff(coeff)
     params.validate()
@@ -257,11 +199,9 @@ def norm_gradient(lay: LayerParams) -> np.ndarray:
     if orders == (np.inf, np.inf):
         row = int(np.argmax(np.abs(W).sum(axis=1)))
         grad[row] = np.sign(W[row])
-    elif orders == (1.0, 1.0):
+    else:
         col = int(np.argmax(np.abs(W).sum(axis=0)))
         grad[:, col] = np.sign(W[:, col])
-    else:
-        raise ValueError(f"no norm gradient for induced norm orders {orders}")
     return grad
 
 
@@ -295,10 +235,30 @@ def layer_norms(params: BlockParams) -> list[float]:
 
 
 def checkpoint_constraint(params: BlockParams, coeff: float = 0.98) -> list[float]:
-    """Constraint application at full convergence, for eval checkpoints."""
-    return apply_lipschitz_constraint(
+    """Constraint application at full convergence, certified exactly.
+
+    Every model that is evaluated, sampled or diagnosed goes through here.
+    After rescaling, each layer's exact norm (``np.linalg.norm(W, 2)`` for
+    spectral layers, :func:`exact_induced_norm` otherwise) must be at most
+    ``coeff * (1 + CERTIFY_TOL)``; the power iteration's lower-bound
+    estimate alone could not promise that.  Raises
+    :class:`NormalizationError` naming the layer otherwise.
+    """
+    reported = apply_lipschitz_constraint(
         params, coeff, tol=1e-9, max_iters=500, max_iters_warm=500
     )
+    bound = coeff * (1.0 + CERTIFY_TOL)
+    for i, lay in enumerate(params.layers):
+        if lay.norm_in == 2.0:
+            exact = float(np.linalg.norm(lay.weight, 2))
+        else:
+            exact = exact_induced_norm(lay.weight, lay.norm_in)
+        if exact > bound:
+            raise NormalizationError(
+                f"layer {i}: exact induced norm {exact!r} exceeds the certified "
+                f"bound {bound!r} (coeff {coeff!r})"
+            )
+    return reported
 
 
 def norm_orders_from_preset(name: str, n_layers: int) -> list[tuple[float, float]]:
@@ -343,8 +303,7 @@ def init_block_params(
         if (p_in, p_out) in EXACT_ORDERS:
             norm = exact_induced_norm(W, p_in)
         else:
-            spec = NormSpec(p_in=p_in, p_out=p_out, tol=1e-12, max_iters=2000)
-            norm, _ = mixed_norm_power_iteration(W, spec)
+            norm, _, _ = spectral_power_iteration(W, tol=1e-12, max_iters=2000)
         W *= target / norm
         if l < n_layers - 1:
             bias = rng.uniform(-bias_scale, bias_scale, size=dims[l + 1])

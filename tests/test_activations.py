@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from resflow.activations import (
     beta_from_raw,
     beta_raw_chain,
-    elu_d1,
-    elu_d2,
     lipswish,
     lipswish_d1,
     lipswish_d1_dbeta,
@@ -114,11 +112,6 @@ class TestSaturationContrast:
         z = float(np.log(0.999 / 0.001))
         assert softplus_d1(z) == pytest.approx(0.999, abs=1e-9)
         assert abs(softplus_d2(z)) < 1e-3
-
-    def test_elu_curvature_dead_at_unit_slope(self):
-        # ELU reaches slope exactly 1 for z > 0 where its curvature is 0
-        assert elu_d1(1.0) == 1.0
-        assert elu_d2(1.0) == 0.0
 
 
 class TestBetaReparameterization:

@@ -26,6 +26,7 @@ PINNED_COUNTS = {
     "blocks.forward.calls": (0.0, 0.0),
     "logdet.terms_mean": (379 / 96, 219.1875),
     "logdet.terms_max": (12.0, 233.0),
+    "norms.pi_iters": (64 / 3, 0.0),
 }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +293,23 @@ class TestEval:
     def test_missing_checkpoint_exit_2(self, tmp_path):
         code = run_cli("eval", "--checkpoint", str(tmp_path / "none.txt"))
         assert code == 2
+
+    @pytest.mark.parametrize("subs", [r"1", r"\d+"], ids=["one_layer", "whole_block"])
+    def test_unsupported_norm_orders_exit_2_without_output(self, tiny_run, tmp_path, capsys, subs):
+        # one layer at (3, 3) breaks the chain; a whole block at (3, 3) chains but
+        # has no exact norm or spectral iteration to measure it
+        text = (tiny_run / "checkpoint_final.txt").read_text()
+        block = re.search(r"^(model\.layer\.\d+)\.kind = block$", text, re.M).group(1)
+        pattern = rf"^({re.escape(block)}\.sub\.{subs}\.norm_(in|out)) = 2\.0$"
+        text, n = re.subn(pattern, r"\1 = 3.0", text, flags=re.M)
+        assert n >= 2
+        ckpt = tmp_path / "orders3.txt"
+        ckpt.write_text(text)
+        out = tmp_path / "ev"
+        code = run_cli("eval", "--checkpoint", str(ckpt), "--out-dir", str(out))
+        assert code == 2
+        assert "norm orders" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDiagnose:

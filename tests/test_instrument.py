@@ -23,9 +23,6 @@ def test_retained_list_reports_to_meter():
     assert meter.current == 5
     assert len(chain) == 5
     assert chain[2] == 2
-    chain.replace_last(99)
-    assert meter.current == 5  # overwrite retains nothing new
-    assert chain[4] == 99
     chain.drop_all()
     assert meter.current == 0
     assert meter.peak == 5

@@ -1,13 +1,14 @@
 """Residual-branch network and its derivative primitives.
 
 The branch ``g`` is a small dense MLP (default ``d -> hidden -> hidden -> d``)
-with LipSwish activations between linear layers.  Everything a flow or an
-estimator needs from ``g`` is exposed as an explicit function:
+with LipSwish activations ``z sigmoid(beta z) / 1.1`` between linear layers
+(Residual Flows, arXiv:1906.02735, §4).  Everything a flow or an estimator
+needs from ``g`` is exposed as an explicit function:
 
 * ``block_forward``       -- g(x)
 * ``block_forward_cache`` -- g(x), keeping each hidden layer's ``z`` and
-  ``s = sigmoid(beta z)``, and ``derive_cache``, which forms everything
-  else the chains and the reverse pass read from those two
+  ``s = sigmoid(beta z)``, and ``derive_cache``, which forms the kernel
+  weights and slopes from those two
 * ``block_jvp``           -- J_g(x) v
 * ``block_vjp``           -- J_g(x)^T u
 * ``block_dense_jacobian``-- the full d x d Jacobian (small-d oracle)
@@ -22,6 +23,19 @@ Derivatives are hand-derived per layer rather than taped: the chain is
 short and fixed-shape, and writing it out makes the retained-state
 accounting of the gradient estimators auditable.  All functions accept a
 single point ``(d,)`` or a batch ``(n, d)`` and operate in float64.
+
+Arithmetic: the kernels never divide an activation by 1.1.  Each layer
+that reads an activation multiplies a copy of its weight divided by 1.1
+instead, made once per derivation or kernel call, so a hidden layer hands
+on ``z s`` and its slope is ``d(z s)/dz = s (1 + t (1 - s))``, ``t = beta z``;
+the gradient in such a weight is the one in its copy, divided by 1.1.
+The logistic is ``1 / (1 + exp(-t))``, one exponential, whose overflow
+(to an exact 0) is silenced for that call alone.  The forward keeps
+``z`` and ``s``; :func:`derive_cache` forms the slopes, which every
+series step reads; the reverse pass forms the activation ``z s``,
+``sd1 z = z s (1 - s)`` and the slope's t-derivative ``s + slope (1 - 2 s)``
+one layer at a time, right before the layer that reads them.
+``activations.lipswish*`` stay the reference the tests compare against.
 
 Work buffers: ``block_forward``, ``block_jvp`` and ``block_vjp`` take a
 keyword ``work``, a list from :func:`work_buffers` with at least the
@@ -38,14 +52,14 @@ Workspace: a training step holds every block's forward cache from the
 forward sweep to that block's reverse pass, then does it all again the
 next step.  Given a ``slot``, :func:`block_forward_cache` keeps ``z`` and
 ``s`` in that slot's buffers of a per-thread workspace, and
-:func:`derive_cache` writes the slopes, ``sd1``, ``common`` and hidden
-inputs of a slot cache into one derived set all slots share, so those
-exist for one block at a time.  Buffers are made on first use and
-replaced when a shape changes.  A slot cache is valid until the next
-forward into its slot, a derived set until the next derivation of a slot
-cache; nothing a kernel returns lives in the workspace.  Without a slot
-every array is fresh, as the value-only routes and tests use them.  The
-workspace stays allocated, every slot it ever held included, until
+:func:`derive_cache` writes the kernel weights and slopes of a slot
+cache into one derived set all slots share, so those exist for one block
+at a time.  Buffers are made on first use and replaced when a shape
+changes.  A slot cache is valid until the next forward into its slot, a
+derived set until the next derivation of a slot cache; nothing a kernel
+returns lives in the workspace.  Without a slot every array is fresh, as
+the value-only routes and tests use them.  The workspace stays
+allocated, every slot it ever held included, until
 :func:`release_workspace` (``train.fit`` calls it when it is done).
 """
 
@@ -56,12 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from resflow.activations import (
-    LIPSWISH_SCALE,
-    beta_from_raw,
-    beta_raw_chain,
-    sigmoid,
-)
+from resflow.activations import LIPSWISH_SCALE, beta_from_raw, beta_raw_chain
 from resflow.errors import GuardError, ShapeError
 
 DENSE_JACOBIAN_MAX_DIM = 16
@@ -266,9 +275,8 @@ class BlockCache:
     ``x`` is the block's input batch, ``pre[l]`` hidden layer l's
     pre-activation ``z`` and ``act[l]`` its logistic ``s = sigmoid(beta z)``,
     ``betas[l]`` the positive activation parameters.  Everything else the
-    chains and the reverse pass read comes from these in a few elementwise
-    passes (:func:`derive_cache`), so it is formed one block at a time
-    rather than kept for every block of a model at once.  ``slot`` is the
+    kernels read is formed from these, one block at a time: the slopes by
+    :func:`derive_cache`, the rest inside the reverse pass.  ``slot`` is the
     workspace slot holding ``pre`` and ``act``, None for fresh arrays.
     """
 
@@ -281,24 +289,26 @@ class BlockCache:
 
 @dataclass
 class DerivedCache:
-    """The arrays the JVP/VJP chains and the reverse pass read.
+    """What the JVP/VJP chains and the reverse pass read.
 
-    ``inputs[l]`` is the input to layer l, ``pre[l]`` hidden layer l's
-    pre-activation, ``slope[l]`` the activation derivative there,
-    ``betas[l]`` the activation parameters.  With ``t = beta z`` and
-    ``s = sigmoid(t)``, ``sd1[l]`` is ``s (1 - s)`` and ``common[l]``
-    ``(2 sd1 + t sd1 (1 - 2 s)) / 1.1``: the activation's second derivative
-    is ``beta * common`` and the slope's beta-derivative ``z * common``, so
-    the reverse pass needs no fresh exponentials.  The chains read
-    ``slope`` alone, which is all a slopes-only derivation fills in.
+    ``weights[l]`` is layer l's weight as the kernels multiply it: the
+    first layer's as it is, each later one, which reads an activation,
+    divided by 1.1 (the LipSwish scale, paid once per derivation instead
+    of once per activation).  The activation a layer hands on is then
+    ``z s``, and ``slope[l]`` hidden layer l's ``d(z s)/dz = s (1 + t (1 - s))``
+    with ``t = beta z``.  ``x``, ``pre``, ``act`` and ``betas`` are the
+    forward cache's; the reverse pass forms ``z s``, ``sd1 z = z s (1 - s)``
+    and the slope's t-derivative from them right before the layer that
+    reads them.  The chains read ``weights`` and ``slope`` alone, all a
+    slopes-only derivation keeps.
     """
 
-    inputs: list[np.ndarray] = field(default_factory=list)
-    pre: list[np.ndarray] = field(default_factory=list)
+    weights: list[np.ndarray] = field(default_factory=list)
     slope: list[np.ndarray] = field(default_factory=list)
-    sd1: list[np.ndarray] = field(default_factory=list)
-    common: list[np.ndarray] = field(default_factory=list)
     betas: list[float] = field(default_factory=list)
+    x: np.ndarray | None = None
+    pre: list[np.ndarray] = field(default_factory=list)
+    act: list[np.ndarray] = field(default_factory=list)
 
 
 def _as_batch(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -341,36 +351,57 @@ def _hidden_width(params: BlockParams) -> int:
     return max((lay.weight.shape[0] for lay in params.layers[:-1]), default=0)
 
 
+def _kernel_weights(params: BlockParams, key=None) -> list[np.ndarray]:
+    """Each layer's weight as the kernels multiply it: the first layer's as it
+    is, each later one divided by 1.1; in workspace buffers ``(key, l)``
+    given a ``key``, fresh otherwise."""
+    first, *rest = params.layers
+    return [first.weight] + [
+        np.divide(lay.weight, LIPSWISH_SCALE, out=_buffer(key is not None, (key, l), lay.weight.shape))
+        for l, lay in enumerate(rest, 1)
+    ]
+
+
+def _logistic(z: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
+    """``sigmoid(beta z) = 1 / (1 + exp(-beta z))`` into ``out``, from one
+    exponential.  Where ``exp`` overflows, ``1 + inf`` is inf and the
+    logistic exactly 0, so the overflow is silenced for this call alone."""
+    e = np.multiply(z, -beta, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(e, out=e)
+    e += 1.0
+    return np.divide(1.0, e, out=e)
+
+
 def block_forward_cache(
     params: BlockParams, x: np.ndarray, slot=None
 ) -> tuple[np.ndarray, BlockCache]:
     """Evaluate g(x) and keep each hidden layer's ``z`` and ``s``.
 
     Given a ``slot`` (any hashable; training uses the block's position),
-    ``z`` and ``s`` go into that slot's workspace buffers and the
-    activations ``h``, which only the next layer's product reads, into
-    the workspace's scratch: the cache is then valid until the next
-    forward into the same slot.  Without one every array is fresh.
-    ``g(x)`` is a fresh array either way, bit for bit :func:`block_forward`.
+    ``z`` and ``s`` go into that slot's workspace buffers, and the
+    activations ``z s``, which only the next layer's product reads, and
+    the kernel weights into the workspace's scratch: the cache is then
+    valid until the next forward into the same slot.  Without one every
+    array is fresh.  ``g(x)`` is a fresh array either way, bit for bit
+    :func:`block_forward`.
     """
     x, _ = _as_batch(params, x)
-    n, width = x.shape[0], _hidden_width(params)
-    shared = slot is not None
-    t_buf, e_buf, h_buf = (_buffer(shared, ("scratch", i), (n, width)) for i in range(3))
+    n, shared = x.shape[0], slot is not None
+    weights = _kernel_weights(params, "forward weight" if shared else None)
+    h_buf = _buffer(shared, "scratch", (n, _hidden_width(params)))
     h, pre, act, betas = x, [], [], []
     for l, lay in enumerate(params.layers[:-1]):
         shape = (n, lay.weight.shape[0])
-        z = np.matmul(h, lay.weight.T, out=_buffer(shared, (slot, "z", l), shape))
+        z = np.matmul(h, weights[l].T, out=_buffer(shared, (slot, "z", l), shape))
         z += lay.bias
         beta = lay.beta
-        t = np.multiply(z, beta, out=_lead(t_buf, *shape))
-        s = sigmoid(t, out=_buffer(shared, (slot, "s", l), shape), work=_lead(e_buf, *shape))
+        s = _logistic(z, beta, out=_buffer(shared, (slot, "s", l), shape))
         h = np.multiply(z, s, out=_lead(h_buf, *shape))
-        h /= LIPSWISH_SCALE
         pre.append(z)
         act.append(s)
         betas.append(beta)
-    g = h @ params.layers[-1].weight.T
+    g = h @ weights[-1].T
     g += params.layers[-1].bias
     return g, BlockCache(x=x, pre=pre, act=act, betas=betas, slot=slot)
 
@@ -378,13 +409,11 @@ def block_forward_cache(
 def derive_cache(
     params: BlockParams, cache: BlockCache | DerivedCache, slopes_only: bool = False
 ) -> DerivedCache:
-    """The chains' and the reverse pass's arrays, formed from ``(z, s)``.
+    """The kernel weights and each hidden layer's slope ``s (1 + t (1 - s))``,
+    formed from ``(z, s)`` as ``(1 - s) z beta + 1``, times ``s``.
 
-    Per hidden layer, with the forward's own arithmetic (so every value
-    is the same bit for bit): ``t = beta z``, ``sd1 = (1 - s) s``,
-    ``slope = (t sd1 + s) / 1.1``, ``common = ((1 - 2 s) t + 2) sd1 / 1.1``
-    and the next layer's input ``h = z s / 1.1``.  ``slopes_only`` forms
-    the slopes alone, all the JVP/VJP chains read.  The arrays of a
+    ``slopes_only`` keeps the weights and slopes alone, all the JVP/VJP
+    chains read, so ``z`` and ``s`` may be freed.  The arrays of a
     workspace cache go into the one derived set all slots share, valid
     until the next derivation of a workspace cache; a fresh cache's are
     fresh.  A :class:`DerivedCache` is returned as it is.
@@ -392,34 +421,20 @@ def derive_cache(
     if isinstance(cache, DerivedCache):
         return cache
     shared = cache.slot is not None
-    t_buf = _buffer(shared, ("scratch", 0), (cache.x.shape[0], _hidden_width(params)))
-    inputs, slope, sd1s, commons = [cache.x], [], [], []
+    slopes = []
     for l, (z, s, beta) in enumerate(zip(cache.pre, cache.act, cache.betas)):
-        shape = z.shape
-        t = np.multiply(z, beta, out=_lead(t_buf, *shape))
-        sd1 = np.subtract(1.0, s, out=_buffer(shared, ("sd1", l), shape))
-        sd1 *= s
-        d1 = np.multiply(t, sd1, out=_buffer(shared, ("slope", l), shape))
-        d1 += s
-        d1 /= LIPSWISH_SCALE
-        slope.append(d1)
-        if slopes_only:
-            continue
-        common = np.multiply(s, -2.0, out=_buffer(shared, ("common", l), shape))
-        common += 1.0
-        common *= t
-        common += 2.0
-        common *= sd1
-        common /= LIPSWISH_SCALE
-        h = np.multiply(z, s, out=_buffer(shared, ("h", l), shape))
-        h /= LIPSWISH_SCALE
-        sd1s.append(sd1)
-        commons.append(common)
-        inputs.append(h)
+        d1 = np.subtract(1.0, s, out=_buffer(shared, ("slope", l), z.shape))
+        d1 *= z
+        d1 *= beta
+        d1 += 1.0
+        d1 *= s
+        slopes.append(d1)
+    weights = _kernel_weights(params, "weight" if shared else None)
     if slopes_only:
-        return DerivedCache(slope=slope, betas=cache.betas)
+        return DerivedCache(weights=weights, slope=slopes, betas=cache.betas)
     return DerivedCache(
-        inputs=inputs, pre=cache.pre, slope=slope, sd1=sd1s, common=commons, betas=cache.betas
+        weights=weights, slope=slopes, betas=cache.betas,
+        x=cache.x, pre=cache.pre, act=cache.act,
     )
 
 
@@ -434,11 +449,11 @@ def work_buffers(
     until :func:`release_workspace`.
     Each is a ``(rows, width)`` array, ``width`` the widest hidden layer of
     ``params`` (one block, or several that then share one set).  The
-    JVP/VJP chains alternate between two; :func:`block_forward` needs
-    three, for a pre-activation, its activation and the logistic's
-    exponential at once.  Ask for no more than the kernel uses: an unused
-    buffer still grows the heap, and freeing it can push the heap top past
-    the allocator's trim threshold, so the next allocations fault again.
+    JVP/VJP chains alternate between two; :func:`block_forward` holds a
+    pre-activation in one and forms its logistic and activation in the
+    other.  Ask for no more than the kernel uses: an unused buffer still
+    grows the heap, and freeing it can push the heap top past the
+    allocator's trim threshold, so the next allocations fault again.
     """
     blocks = [params] if isinstance(params, BlockParams) else params
     width = max((_hidden_width(b) for b in blocks), default=0)
@@ -456,25 +471,21 @@ def block_forward(
 ) -> np.ndarray:
     """g(x); the residual add ``x + g(x)`` lives in the flow module.
 
-    ``work``: three buffers (``work_buffers(params, rows, 3)``) for the
-    pre-activation, the activation and the logistic's exponential.
+    ``work``: two buffers (``work_buffers(params, rows)``), one for the
+    pre-activation, one for its logistic and then the activation.
     """
     h, squeeze = _as_batch(params, x)
     n = h.shape[0]
-    z_buf, s_buf, e_buf = work_buffers(params, n, 3) if work is None else work
-    n_layers = len(params.layers)
-    for l, lay in enumerate(params.layers):
-        if l < n_layers - 1:
-            width = lay.weight.shape[0]
-            z = np.matmul(h, lay.weight.T, out=_lead(z_buf, n, width))
-            z += lay.bias
-            t = np.multiply(z, lay.beta, out=_lead(s_buf, n, width))
-            h = sigmoid(t, out=t, work=_lead(e_buf, n, width))
-            h *= z
-            h /= LIPSWISH_SCALE
-        else:
-            h = h @ lay.weight.T
-            h += lay.bias
+    z_buf, s_buf = (work_buffers(params, n) if work is None else work)[:2]
+    weights = _kernel_weights(params)
+    for lay, weight in zip(params.layers[:-1], weights):
+        width = lay.weight.shape[0]
+        z = np.matmul(h, weight.T, out=_lead(z_buf, n, width))
+        z += lay.bias
+        h = _logistic(z, lay.beta, out=_lead(s_buf, n, width))
+        h *= z
+    h = h @ weights[-1].T
+    h += params.layers[-1].bias
     return h[0] if squeeze else h
 
 
@@ -520,7 +531,7 @@ def block_jvp(
     """
     cache = _cache_for(params, x, cache, slopes_only=True)
     t, squeeze = _as_batch(params, np.asarray(v, dtype=np.float64))
-    t = _chain(params, t, [lay.weight.T for lay in params.layers], cache.slope, work)
+    t = _chain(params, t, [w.T for w in cache.weights], cache.slope, work)
     return t[0] if squeeze else t
 
 
@@ -539,8 +550,7 @@ def block_vjp(
     r, squeeze = np.asarray(u, dtype=np.float64), False
     if r.ndim == 1:
         r, squeeze = r[None, :], True
-    mats = [lay.weight for lay in reversed(params.layers)]
-    r = _chain(params, r, mats, cache.slope[::-1], work)
+    r = _chain(params, r, cache.weights[::-1], cache.slope[::-1], work)
     return r[0] if squeeze else r
 
 
@@ -569,62 +579,71 @@ def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: Cache = None
 # -- reverse pass: parameter and input gradients ---------------------------
 
 
-def _reverse_chains(params: BlockParams, cache: DerivedCache, u, w, v):
-    """Layer-wise pieces of the gradient of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
+def _reverse(cache: DerivedCache, u, w, v, per_row: bool):
+    """The reverse pass of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
 
     ``u`` (the pathwise term) or ``w, v`` (the bilinear term) may be None.
-    Returns (zbar, pi, tau, dbeta, xbar) where, for layer l:
-      zbar[l]  cotangent of the pre-activation z_l: the pathwise part plus
-               the bilinear part, which includes the cascade of z_l into
-               all later activation slopes (None where both are absent),
-      pi[l]    cotangent of the tangent W_l tau[l] (bilinear term only),
-      tau[l]   tangent entering layer l, the J chain applied to v,
-      dbeta[l] per-row ds/dbeta_l (hidden layers),
-    and ``xbar`` is ds/dx (None where it is zero).
+    Runs the tangent chain of ``v`` up the block, then walks the layers
+    down and yields, per layer l from the top, ``(l, zbar, inp, pi, tau,
+    dbeta)``:
+      zbar   cotangent of the pre-activation z_l: the pathwise part plus
+             the bilinear part, which includes the cascade of z_l into
+             all later slopes (None where both are absent),
+      inp    the layer's input: ``x``, or ``z s`` of the hidden layer below,
+      pi     cotangent of the tangent ``W_l tau`` (bilinear term only),
+      tau    tangent entering layer l, the J chain applied to v,
+      dbeta  on hidden layers ds/dbeta_l, summed over rows unless ``per_row``.
+    Products are with the kernel weights, so a layer past the first has
+    the gradient in its weight ``W`` of ``zbar^T inp + pi^T tau``, over 1.1.
     """
-    layers = params.layers
-    n_layers = len(layers)
-    tau, kappa, pi = [None] * n_layers, [None] * n_layers, [None] * n_layers
+    weights, slopes, betas = cache.weights, cache.slope, cache.betas
+    top = len(weights) - 1
+    reduce = "ij,ij->i" if per_row else "ij,ij->"
+
+    def layer_input(l):
+        return cache.x if l == 0 else cache.pre[l - 1] * cache.act[l - 1]
+
+    tau, kappa = [None] * (top + 1), [None] * top
     if w is not None:
-        t = v
-        for l, lay in enumerate(layers[:-1]):
-            tau[l] = t
-            kappa[l] = t @ lay.weight.T
-            t = cache.slope[l] * kappa[l]
-        tau[-1], pi[-1] = t, w
-    zbar = [None] * n_layers
-    zbar[-1] = u
-    dbeta = [None] * (n_layers - 1)
-    # temporaries are updated in place, as in derive_cache
-    for l in range(n_layers - 2, -1, -1):
-        weight, z, slope = layers[l + 1].weight, cache.pre[l], cache.slope[l]
-        zb = dbeta_dz = None  # cotangent of z_l; rows of dbeta_dz . z_l give ds/dbeta_l
-        if zbar[l + 1] is not None:
-            zb = zbar[l + 1] @ weight  # cotangent of the activation output
-            dbeta_dz = zb * z
-            dbeta_dz *= cache.sd1[l]
-            dbeta_dz /= LIPSWISH_SCALE
-            zb *= slope
-        if w is not None:
-            lam = pi[l + 1] @ weight  # cotangent of the activated tangent
-            pi[l] = slope * lam
-            # lam kappa common: beta times it joins the cotangent of z_l
-            # (curvature), z times it the beta-derivative (slope's)
+        tau[0] = v
+        for l in range(top):
+            kappa[l] = tau[l] @ weights[l].T
+            tau[l + 1] = kappa[l] * slopes[l]
+    zbar, pi, inp = u, w, layer_input(top)
+    yield top, zbar, inp, pi, tau[top], None
+    for l in range(top - 1, -1, -1):
+        z, s, slope = cache.pre[l], cache.act[l], slopes[l]
+        zb = q = lam = None
+        if pi is not None:
+            lam = pi @ weights[l + 1]
+            pi = lam * slope
+            # the slope's t-derivative, s + slope (1 - 2 s): beta times it is
+            # its z-derivative (curvature), z times it its beta-derivative
+            c = s * -2.0
+            c += 1.0
+            c *= slope
+            c += s
             lam *= kappa[l]
-            lam *= cache.common[l]
-            if dbeta_dz is None:
-                dbeta_dz = lam.copy()
-            else:
-                dbeta_dz += lam
-            lam *= cache.betas[l]
+            lam *= c
+            q = lam
+        if zbar is not None:
+            zb = zbar @ weights[l + 1]
+            # the activation's beta-derivative is z sd1 z = z s (1 - s) z
+            sd1z = 1.0 - s
+            sd1z *= inp
+            q = zb * sd1z
+            if lam is not None:
+                q += lam
+            zb *= slope
+        dbeta = np.einsum(reduce, q, z)
+        if lam is not None:
+            lam *= betas[l]
             if zb is None:
                 zb = lam
             else:
                 zb += lam
-        zbar[l] = zb
-        dbeta[l] = np.einsum("ij,ij->i", dbeta_dz, z)
-    xbar = None if zbar[0] is None else zbar[0] @ layers[0].weight
-    return zbar, pi, tau, dbeta, xbar
+        zbar, inp = zb, layer_input(l)
+        yield l, zbar, inp, pi, tau[l], dbeta
 
 
 def _probe_rows(params: BlockParams, x: np.ndarray, cache: Cache, *vecs):
@@ -647,6 +666,7 @@ def block_param_grad(
     w: np.ndarray | None = None,
     v: np.ndarray | None = None,
     cache: Cache = None,
+    return_jvp: bool = False,
 ):
     """Gradient of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
 
@@ -659,26 +679,32 @@ def block_param_grad(
     ``v``, the cotangent chain of ``w`` and the activation's second
     derivative, since the Jacobian already contains its first.  Either
     term may be left out (None).  Returns (parameter gradient summed over
-    rows, ``(n, d)`` gradient in ``x``).
+    rows, ``(n, d)`` gradient in ``x``), and with ``return_jvp`` (which
+    needs ``w, v``) the tangent chain's output ``J_g(x) v`` third.
     """
     cache, (u, w, v) = _probe_rows(params, x, cache, u, w, v)
     n = (u if u is not None else w).shape[0]
-    zbar, pi, tau, dbeta, xbar = _reverse_chains(params, cache, u, w, v)
-    layers = []
-    for l, lay in enumerate(params.layers):
-        if zbar[l] is None:
+    layers, xbar, jvp = [None] * len(params.layers), None, None
+    for l, zbar, inp, pi, tau, dbeta in _reverse(cache, u, w, v, per_row=False):
+        lay = params.layers[l]
+        if zbar is None:
             weight, bias = np.zeros_like(lay.weight), np.zeros_like(lay.bias)
         else:
-            weight, bias = zbar[l].T @ _rows(cache.inputs[l], n), zbar[l].sum(axis=0)
-        if pi[l] is not None:
-            weight += pi[l].T @ tau[l]
-        raw_beta = 0.0
-        if lay.raw_beta is not None:
-            raw_beta = float(dbeta[l].sum() * beta_raw_chain(lay.raw_beta))
-        layers.append(LayerGrads(weight=weight, bias=bias, raw_beta=raw_beta))
+            weight, bias = zbar.T @ _rows(inp, n), zbar.sum(axis=0)
+        if pi is not None:
+            weight += pi.T @ tau
+        if l > 0:
+            weight /= LIPSWISH_SCALE
+        if return_jvp and l == len(layers) - 1:
+            jvp = tau @ cache.weights[l].T
+        raw_beta = 0.0 if dbeta is None else float(dbeta * beta_raw_chain(lay.raw_beta))
+        layers[l] = LayerGrads(weight=weight, bias=bias, raw_beta=raw_beta)
+        if l == 0 and zbar is not None:
+            xbar = zbar @ cache.weights[0]
     if xbar is None:
         xbar = np.zeros((n, params.dim))
-    return BlockGrads(layers=layers), xbar
+    grads = BlockGrads(layers=layers)
+    return (grads, xbar, jvp) if return_jvp else (grads, xbar)
 
 
 def block_param_grad_of_output(
@@ -708,6 +734,7 @@ def bilinear_param_grad(
     cache: Cache = None,
     want_input_grad: bool = False,
     out_cot: np.ndarray | None = None,
+    return_jvp: bool = False,
 ):
     """Gradient of the scalar ``s = u^T J_g(x) v`` in all block parameters.
 
@@ -717,10 +744,15 @@ def bilinear_param_grad(
     added to ``s`` and shares the reverse pass (:func:`block_param_grad`).
     With ``want_input_grad`` the ``(n, d)`` gradient of ``s`` with respect
     to ``x`` is also returned, which the training loop backpropagates into
-    upstream layers.  Batched ``u, v`` are summed over the batch.
+    upstream layers; with ``return_jvp`` the ``(n, d)`` tangents ``J_g(x) v``
+    come last.  Batched ``u, v`` are summed over the batch.
     """
-    grads, input_grad = block_param_grad(params, x, u=out_cot, w=u, v=v, cache=cache)
-    return (grads, input_grad) if want_input_grad else grads
+    grads, input_grad, *jvp = block_param_grad(
+        params, x, u=out_cot, w=u, v=v, cache=cache, return_jvp=return_jvp
+    )
+    out = (grads, input_grad) if want_input_grad else (grads,)
+    out += tuple(jvp)
+    return out if len(out) > 1 else grads
 
 
 def bilinear_param_grad_per_sample(
@@ -737,13 +769,14 @@ def bilinear_param_grad_per_sample(
     """
     cache, (u, v) = _probe_rows(params, x, cache, u, v)
     n = u.shape[0]
-    zbar, pi, tau, dbeta, _ = _reverse_chains(params, cache, None, u, v)
-    cols = []
-    for l, lay in enumerate(params.layers):
-        w_g = pi[l][:, :, None] * tau[l][:, None, :]
-        if zbar[l] is None:
-            cols += [w_g.reshape(n, -1), np.zeros((n, lay.bias.size))]
-            continue
-        w_g = w_g + zbar[l][:, :, None] * _rows(cache.inputs[l], n)[:, None, :]
-        cols += [w_g.reshape(n, -1), zbar[l], (dbeta[l] * beta_raw_chain(lay.raw_beta))[:, None]]
-    return np.concatenate(cols, axis=1)
+    cols = [None] * len(params.layers)
+    for l, zbar, inp, pi, tau, dbeta in _reverse(cache, None, u, v, per_row=True):
+        w_g = pi[:, :, None] * tau[:, None, :]
+        if zbar is not None:
+            w_g += zbar[:, :, None] * _rows(inp, n)[:, None, :]
+        if l > 0:
+            w_g /= LIPSWISH_SCALE
+        cols[l] = [w_g.reshape(n, -1), np.zeros((n, w_g.shape[1])) if zbar is None else zbar.copy()]
+        if dbeta is not None:
+            cols[l].append((dbeta * beta_raw_chain(params.layers[l].raw_beta))[:, None])
+    return np.concatenate([c for layer in cols for c in layer], axis=1)

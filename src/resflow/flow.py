@@ -283,7 +283,7 @@ def inverse(
         raise ShapeError(f"expected points of dim {model.dim}")
     residual_log: list[list[float]] = []
     # one set of work buffers serves every Picard step of every block
-    work = work_buffers([b.params for b in model.blocks()], h.shape[0], 3)
+    work = work_buffers([b.params for b in model.blocks()], h.shape[0])
     for lay in reversed(model.layers):
         if isinstance(lay, ActNorm):
             h = lay.inverse(h)

@@ -10,7 +10,9 @@ i-ResNet arXiv:1811.00995) and one of two term loops.  :func:`_series`
 returns per-row values and the Neumann cotangent ``w`` (§3.2), whose
 bilinear form ``w^T J_g v`` has the unbiased log-det gradient; nothing
 differentiates through the accumulation, so retained storage does not
-grow with the truncation.  :func:`_differentiated_series` differentiates
+grow with the truncation.  A training row stops after the K - 1 chain
+steps ``w`` needs and takes its last value term from the ``J_g v`` of the
+bilinear form's reverse pass.  :func:`_differentiated_series` differentiates
 every term and keeps both chains: storage linear in the truncation.
 
 Entry points: values per row (``*_logdet_rows``) or at one point
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from resflow.blocks import (
+    BlockCache,
     BlockGrads,
     BlockParams,
     DerivedCache,
@@ -234,15 +237,22 @@ def _series(params, cache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
 
     Row i reads probe ``v[i]``, truncation ``K[i]`` and the point
     ``point_of_row[i]`` of ``cache`` (row i without it; a one-point cache
-    is shared by every row).  Returns ``(values, w)`` with
+    is shared by every row).  Returns ``(values, w, last)``, each None
+    when not asked for.  Without ``grad_coefs`` the chain steps with
+    ``block_jvp``, K_i steps for row i, and
 
-        values[i] = sum_{k=1}^{K_i}   val_coefs[k-1]  v_i^T J^k v_i
-        w[i]      = sum_{k=0}^{K_i-1} grad_coefs[k]   (J^T)^k v_i,
+        values[i] = sum_{k=1}^{K_i}   val_coefs[k-1]  v_i^T J^k v_i.
 
-    each None when its weights are.  Rows run sorted by descending
-    truncation, so the active rows are a prefix.  The chain steps with
-    ``block_vjp`` when it accumulates ``w``, else with ``block_jvp``; every
-    step works in prefix slices of one set of work buffers.
+    With them it steps with ``block_vjp`` and stops each row after the
+    K_i - 1 steps the Neumann cotangent needs,
+
+        w[i]      = sum_{k=0}^{K_i-1} grad_coefs[k]   (J^T)^k v_i;
+
+    ``values`` then leave out their last term, and ``last[i]`` is
+    ``(J^T)^(K_i-1) v_i``: its dot with ``J v_i``, which the reverse pass's
+    tangent chain yields, is ``v_i^T J^K_i v_i``.  Rows run sorted by
+    descending truncation, so the active rows are a prefix; every step
+    works in prefix slices of one set of work buffers.
     """
     cache = derive_cache(params, cache, slopes_only=True)
     order = np.argsort(-K, kind="stable")
@@ -251,39 +261,43 @@ def _series(params, cache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
     # slice prefixes, not whole caches; a one-point cache broadcasts as is
     rows = order if point_of_row is None else point_of_row[order]
     slopes = [s if len(s) == 1 else s[rows] for s in cache.slope]
-    step = block_jvp if grad_coefs is None else block_vjp
-    # row i needs K_i chain steps for its value, K_i - 1 for its cotangent
-    steps = ks if val_coefs is not None else ks - 1
     values = None if val_coefs is None else np.zeros(v.shape[0])
-    w = None if grad_coefs is None else grad_coefs[0] * vs
+    if grad_coefs is None:
+        step, steps, w, last = block_jvp, ks, None, None
+    else:
+        step, steps, w = block_vjp, ks - 1, grad_coefs[0] * vs
+        last = None if values is None else vs.copy()
     cur, work = vs, work_buffers(params, v.shape[0])
     for k in range(1, int(steps.max(initial=0)) + 1):
         m = int(np.searchsorted(-steps, -k, side="right"))
-        prefix = DerivedCache(slope=[s[:m] for s in slopes])
+        prefix = DerivedCache(weights=cache.weights, slope=[s[:m] for s in slopes])
         cur = step(params, None, cur[:m], cache=prefix, work=work)
         if values is not None:
             values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
-        if w is not None and k < len(grad_coefs):
-            m_grad = int(np.searchsorted(-ks, -(k + 1), side="right"))
-            w[:m_grad] += grad_coefs[k] * cur[:m_grad]
+        if w is not None:
+            w[:m] += grad_coefs[k] * cur
+        if last is not None:
+            last[:m] = cur
     rank = np.argsort(order)  # the sorted position of every row
-    return (None if values is None else values[rank]), (None if w is None else w[rank])
+    return tuple(None if a is None else a[rank] for a in (values, w, last))
 
 
-def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None):
+def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None, out_cot=None):
     """Per-row values of ``sum_k coefs[k-1] v_i^T J^k v_i``, and its gradients.
 
     ``d(v^T J^k v)/dtheta`` expands into k bilinear forms pairing the
     forward chain ``J^j v`` with the backward chain ``(J^T)^m v``; both
     chains are kept until the sweep finishes (and reported to ``meter``),
-    so retained storage grows linearly in the truncation.
+    so retained storage grows linearly in the truncation.  With
+    ``out_cot`` the pathwise term ``out_cot . g(x)`` rides the first
+    bilinear form's reverse pass.
     """
     n_terms = len(coefs)
     forward = RetainedList(meter)  # J^j v, j = 0..n-1
     backward = RetainedList(meter)  # (J^T)^m v
     forward.append(v)
     backward.append(v)
-    work = work_buffers(params, max(v.shape[0], len(cache.inputs[0])))
+    work = work_buffers(params, max(v.shape[0], len(cache.x)))
     for _ in range(1, n_terms):
         forward.append(block_jvp(params, x, forward[-1], cache=cache, work=work))
         backward.append(block_vjp(params, x, backward[-1], cache=cache, work=work))
@@ -296,7 +310,8 @@ def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None)
         for j in range(n_terms - m):
             weighted += coefs[m + j] * forward[j]
         g, ig = bilinear_param_grad(
-            params, x, backward[m], weighted, cache=cache, want_input_grad=True
+            params, x, backward[m], weighted, cache=cache, want_input_grad=True,
+            out_cot=out_cot if m == 0 else None,
         )
         grads.add_(g)
         input_grad += ig
@@ -321,7 +336,7 @@ def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None):
     v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased, force_n)
     g, cache = block_forward_cache(params, X)
     cache = derive_cache(params, cache, slopes_only=True)  # frees z and s before the series
-    values, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(n * nh) // nh)
+    values, _, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(n * nh) // nh)
     return _point_means(values, n, nh), K.reshape(n, nh).sum(axis=1), g
 
 
@@ -397,7 +412,7 @@ def neumann_logdet_grad(
     meter.retain(held)
     cache = derive_cache(params, cache)
     v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, cfg.n_hutchinson, force_n=force_n)
-    _, w = _series(params, cache, v, K, None, grad_coefs)
+    _, w, _ = _series(params, cache, v, K, None, grad_coefs)
     grads, input_grad = bilinear_param_grad(params, x, w, v, cache=cache, want_input_grad=True)
     grads.scale_(1.0 / cfg.n_hutchinson)
     meter.release(held)
@@ -450,7 +465,7 @@ def neumann_grad_exact_trace(params: BlockParams, x: np.ndarray, n_terms: int) -
     _, cache = block_forward_cache(params, x)
     cache = derive_cache(params, cache)
     probes, K = np.eye(params.dim), np.full(params.dim, n_terms)
-    _, w = _series(params, cache, probes, K, None, _coefficients(n_terms)[1])
+    _, w, _ = _series(params, cache, probes, K, None, _coefficients(n_terms)[1])
     return bilinear_param_grad(params, x, w, probes, cache=cache)
 
 
@@ -474,7 +489,7 @@ def neumann_grad_samples(
     total = total_sq = terms_total = 0.0
     for done in range(0, n_samples, chunk):
         v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, min(chunk, n_samples - done))
-        _, w = _series(params, cache, v, K, None, grad_coefs)
+        _, w, _ = _series(params, cache, v, K, None, grad_coefs)
         g = bilinear_param_grad_per_sample(params, x, w, v, cache=cache)
         total = total + g.sum(axis=0)
         total_sq = total_sq + (g * g).sum(axis=0)
@@ -488,22 +503,28 @@ def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False)
     """Per-row values and terms, summed parameter and per-row input gradients."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, nh = X.shape[0], cfg.n_hutchinson
-    if nh > 1:
-        # the reverse pass reads one cache row per probe row
-        X, cache = np.repeat(X, nh, axis=0), None
-        out_cot = None if out_cot is None else np.repeat(out_cot, nh, axis=0)
     if cache is None:
         _, cache = block_forward_cache(params, X)
-    # the block's slopes, sd1, common and hidden inputs, formed only now
+    if nh > 1:
+        # the reverse pass reads one cache row per probe row: gather them
+        rows = np.arange(n * nh) // nh
+        cache = BlockCache(
+            x=cache.x[rows], pre=[z[rows] for z in cache.pre],
+            act=[s[rows] for s in cache.act], betas=cache.betas,
+        )
+        X, out_cot = cache.x, (None if out_cot is None else out_cot[rows])
+    # the block's kernel weights and slopes, formed only now
     cache = derive_cache(params, cache)
     v, K, coefs = _draw(rng, params.dim, cfg, n * nh, biased)
     if biased:
-        values, grads, input_grad = _differentiated_series(params, X, v, coefs[0], cache)
+        values, grads, input_grad = _differentiated_series(params, X, v, coefs[0], cache, out_cot=out_cot)
     else:
-        values, w = _series(params, cache, v, K, *coefs)
-        grads, input_grad = bilinear_param_grad(
-            params, X, w, v, cache=cache, want_input_grad=True, out_cot=out_cot
+        values, w, last = _series(params, cache, v, K, *coefs)
+        grads, input_grad, jvp = bilinear_param_grad(
+            params, X, w, v, cache=cache, want_input_grad=True, out_cot=out_cot, return_jvp=True
         )
+        # each row's last value term, v^T J^K v = ((J^T)^(K-1) v) . (J v)
+        values += coefs[0][K - 1] * np.einsum("ij,ij->i", last, jvp)
     grads.scale_(1.0 / nh)
     terms = K.reshape(n, nh).sum(axis=1)
     return _point_means(values, n, nh), terms, grads, _point_means(input_grad, n, nh)
@@ -526,7 +547,8 @@ def roulette_value_and_neumann_grad_rows(
     With ``out_cot``, a cotangent of the block output per row, both
     gradients are those of ``sum_i logdet_i + out_cot_i . g(x_i)``: the
     pathwise term rides the bilinear form's reverse pass.  With
-    ``n_hutchinson > 1`` rows are repeated and the estimates averaged.
+    ``n_hutchinson > 1`` each point's cache row serves its probes and the
+    estimates are averaged.
     """
     return _value_and_grad_rows(params, X, cfg, rng, cache, out_cot)
 
@@ -537,12 +559,14 @@ def biased_value_and_grad_rows(
     cfg: EstimatorConfig,
     rng: np.random.Generator,
     cache=None,
+    out_cot: np.ndarray | None = None,
 ):
     """Training-time fixed-truncation value and gradient for a batch.
 
     The gradient differentiates each of the ``n_fixed`` retained terms
     (the linear-memory route); value and gradient estimate the same biased
     objective, so training with them optimizes the truncated series
-    rather than the true log density.
+    rather than the true log density.  Returns and ``out_cot`` as for
+    :func:`roulette_value_and_neumann_grad_rows`.
     """
-    return _value_and_grad_rows(params, X, cfg, rng, cache, biased=True)
+    return _value_and_grad_rows(params, X, cfg, rng, cache, out_cot, biased=True)

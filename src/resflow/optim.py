@@ -34,12 +34,24 @@ class AdamW:
         self.v = np.zeros(self.size)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """The updated parameters, a fresh vector; ``m`` and ``v`` are updated
+        in place, with the float operations of the textbook expressions."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps) - self.weight_decay * params
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        sq = (1.0 - self.beta2) * grad
+        sq *= grad
+        self.v *= self.beta2
+        self.v += sq
+        update = self.m / (1.0 - self.beta1**self.t)  # lr * m_hat / (sqrt(v_hat) + eps)
+        update *= self.lr
+        denom = np.divide(self.v, 1.0 - self.beta2**self.t, out=sq)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update /= denom
+        out = params - update
+        out -= self.weight_decay * params
+        return out
 
 
 @dataclass
@@ -55,7 +67,8 @@ class PolyakAverage:
     def update(self, params: np.ndarray) -> None:
         if self.shadow is None:
             self.shadow = np.zeros_like(params)
-        self.shadow = self.decay * self.shadow + (1.0 - self.decay) * params
+        self.shadow *= self.decay
+        self.shadow += (1.0 - self.decay) * params
         self.count += 1
 
     def average(self, fallback: np.ndarray | None = None) -> np.ndarray:

@@ -7,11 +7,11 @@ value paired with the Neumann-series gradient, the biased fixed
 truncation differentiated term by term, or the dense exact oracle.  Both
 parts propagate input cotangents upstream, so downstream blocks'
 log-determinants correctly contribute gradient to upstream parameters.
-In unbiased mode the two parts share one reverse pass per block
-(``blocks.block_param_grad``).  The forward keeps two arrays per hidden
-layer and block, in buffers reused from step to step; the arrays the
-series and the reverse pass read are derived from them one block at a
-time, right before that block's pass (``blocks.derive_cache``).
+In the stochastic modes the pathwise part rides the log-det's reverse
+pass (``blocks.block_param_grad``), the first one in biased mode.  The
+forward keeps two arrays per hidden layer and block, in buffers reused
+from step to step; the slopes the series reads are derived from them one
+block at a time, right before that block's pass (``blocks.derive_cache``).
 
 The optimizer's variable is the unnormalized parameter vector ``V``, as
 in spectral normalization: the model's weights are derived from it as
@@ -217,27 +217,22 @@ def nll_and_grad(
 
         n_blocks += 1
         block = lay.params
-        if mode == "unbiased":
-            # one reverse pass for the log-det and the pathwise term: the
-            # gradients of sum_i logdet_i - cot_i . g(x_i)
-            values, terms, bg, ig = roulette_value_and_neumann_grad_rows(
-                block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot
-            )
-            terms_mean += float(terms.mean())
-            bg.scale_(-1.0)
-        else:
+        if mode == "exact":
             cache = derive_cache(block, caches[idx])
             bg, vjp = block_param_grad_of_output(block, x_in, cot, cache=cache, return_vjp=True)
             cot = cot + vjp
-            if mode == "exact":
-                values = exact_logdet(block, x_in)
-                lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)
-            else:
-                values, terms, lg, ig = biased_value_and_grad_rows(
-                    block, x_in, est_cfg, rng, cache=cache
-                )
-                terms_mean += float(terms.mean())
+            values = exact_logdet(block, x_in)
+            lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)
             bg.add_(lg, scale=-1.0)
+        else:
+            # the pathwise term rides the log-det's reverse pass: the
+            # gradients of sum_i logdet_i - cot_i . g(x_i)
+            estimator = (
+                roulette_value_and_neumann_grad_rows if mode == "unbiased" else biased_value_and_grad_rows
+            )
+            values, terms, bg, ig = estimator(block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot)
+            terms_mean += float(terms.mean())
+            bg.scale_(-1.0)
         logdet_sum += values
         cot = cot - ig
         grads[idx] = bg

@@ -1,5 +1,7 @@
 """Branch network derivative primitives against finite-difference oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,16 @@ from resflow.blocks import (
     set_param_vector,
     work_buffers,
 )
-from resflow.activations import LIPSWISH_SCALE, sigmoid
+from resflow.activations import (
+    LIPSWISH_SCALE,
+    beta_raw_chain,
+    lipswish,
+    lipswish_d1,
+    lipswish_d1_dbeta,
+    lipswish_d2,
+    lipswish_dbeta,
+    sigmoid,
+)
 from resflow.errors import GuardError, ShapeError
 from resflow.norms import init_block_params
 
@@ -326,6 +337,12 @@ def uneven_block():
     return BlockParams(layers=layers)
 
 
+def assert_close(got, want):
+    """rtol 1e-12, with an atol of 1e-14 of the largest entry for entries
+    that cancel to near zero."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
 def assert_bits_equal(a, b):
     assert a.shape == b.shape
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
@@ -355,10 +372,10 @@ class TestWorkBuffers:
         rng = np.random.default_rng(5)
         X, V = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
         _, cache = block_forward_cache(params, X)
-        slopes = derive_cache(params, cache, slopes_only=True).slope
+        derived = derive_cache(params, cache, slopes_only=True)
         work = self.dirty_work(params, 20)
         for m in (12, 5, 1):  # prefix slices of the cache, as the series loop takes them
-            prefix = DerivedCache(slope=[s[:m] for s in slopes])
+            prefix = DerivedCache(weights=derived.weights, slope=[s[:m] for s in derived.slope])
             for kernel in (block_jvp, block_vjp):
                 fresh = kernel(params, None, V[:m], cache=prefix)
                 buffered = kernel(params, None, V[:m], cache=prefix, work=work)
@@ -405,61 +422,40 @@ class TestWorkBuffers:
         assert len(lean.slope) == len(full.slope) and lean.betas == full.betas
         for a, b in zip(lean.slope, full.slope):
             assert_bits_equal(a, b)
-        assert not (lean.inputs or lean.pre or lean.sd1 or lean.common)
+        for a, b in zip(lean.weights, full.weights):
+            assert_bits_equal(a, b)
+        assert lean.x is None and not (lean.pre or lean.act)
         assert_bits_equal(block_dense_jacobian(params, X), block_dense_jacobian(params, X, cache=full))
-
-    @staticmethod
-    def five_array_cache(params, X):
-        """g(X) and the five arrays per hidden layer the forward cache kept
-        before it kept ``z`` and ``s`` alone, with that forward's arithmetic."""
-        h, inputs, pre, slope, sd1s, commons = X, [], [], [], [], []
-        for lay in params.layers[:-1]:
-            z = h @ lay.weight.T
-            z += lay.bias
-            inputs.append(h)
-            pre.append(z)
-            t = lay.beta * z
-            s = sigmoid(t)
-            sd1 = 1.0 - s
-            sd1 *= s
-            d1 = t * sd1
-            d1 += s
-            d1 /= LIPSWISH_SCALE
-            common = s * -2.0
-            common += 1.0
-            common *= t
-            common += 2.0
-            common *= sd1
-            common /= LIPSWISH_SCALE
-            slope.append(d1)
-            sd1s.append(sd1)
-            commons.append(common)
-            h = z * s
-            h /= LIPSWISH_SCALE
-        inputs.append(h)
-        g = h @ params.layers[-1].weight.T
-        g += params.layers[-1].bias
-        return g, dict(inputs=inputs, pre=pre, slope=slope, sd1=sd1s, common=commons)
 
     @pytest.mark.parametrize("slot", [None, "slot"], ids=["fresh", "workspace"])
     @pytest.mark.parametrize("rows", [1, 37])
     @pytest.mark.parametrize("case", ["1-layer", "2-layer", "3-layer", "uneven"])
     def test_derived_arrays_match_the_five_array_cache(self, case, rows, slot):
+        """What the cache still holds of the five arrays per hidden layer it
+        once kept (z, and the slope, over the kernel weights' 1/1.1), and
+        ``s`` and the kernel weights, against the reference activations;
+        sd1, common and the layer inputs are formed inside the reverse pass,
+        which ``TestAgainstReference`` checks.  A workspace forward and
+        derivation equal fresh ones bit for bit."""
         params = uneven_block() if case == "uneven" else make_block(seed=12, hidden=16, n_layers=int(case[0]))
         X = np.random.default_rng(13).standard_normal((rows, 2)) * 3.0
-        g_ref, ref = self.five_array_cache(params, X)
+        _, fresh = block_forward_cache(params, X)
         g, cache = block_forward_cache(params, X, slot=None if slot is None else (slot, case))
-        assert_bits_equal(g, g_ref)
         assert_bits_equal(g, block_forward(params, X))
         assert len(cache.pre) == len(cache.act) == len(params.layers) - 1
-        derived = derive_cache(params, cache)
-        for name, arrays in ref.items():
-            got = getattr(derived, name)
-            assert len(got) == len(arrays), name
-            for a, b in zip(got, arrays):
-                assert_bits_equal(a, b)
-        for a, b in zip(derive_cache(params, cache, slopes_only=True).slope, ref["slope"]):
+        derived, want = derive_cache(params, cache), derive_cache(params, fresh)
+        for a, b in zip(cache.pre + cache.act + derived.weights + derived.slope,
+                        fresh.pre + fresh.act + want.weights + want.slope):
             assert_bits_equal(a, b)
+        h = X
+        for l, lay in enumerate(params.layers[:-1]):
+            z = h @ lay.weight.T + lay.bias
+            assert_close(cache.pre[l], z)
+            assert_close(cache.act[l], sigmoid(lay.beta * z))
+            assert_close(derived.slope[l], LIPSWISH_SCALE * lipswish_d1(z, lay.beta))
+            assert_close(derived.weights[l + 1], params.layers[l + 1].weight / LIPSWISH_SCALE)
+            h = lipswish(z, lay.beta)
+        assert derived.weights[0] is params.layers[0].weight
 
     def test_workspace_cache_lives_until_its_slot_is_reused(self):
         params = make_block(seed=14, hidden=16)
@@ -490,6 +486,86 @@ class TestWorkBuffers:
         X = np.random.default_rng(9).standard_normal((7, 2))
         for params in (narrow, wide):
             assert_bits_equal(block_forward(params, X, work=work), block_forward(params, X))
+
+
+def reference_pass(params, X, U, W, V):
+    """Straight-line g(X), J V, J^T U, the per-row gradients of
+    ``U_i . g(X_i) + W_i^T J_g(X_i) V_i`` in ``grads_vector`` order and their
+    gradient in X, from the reference activation functions of ``activations``."""
+    layers, top = params.layers, len(params.layers) - 1
+    inputs, pre, tau, kappa = [X], [], [V], []
+    for lay in layers[:-1]:
+        z = inputs[-1] @ lay.weight.T + lay.bias
+        pre.append(z)
+        inputs.append(lipswish(z, lay.beta))
+        kappa.append(tau[-1] @ lay.weight.T)
+        tau.append(lipswish_d1(z, lay.beta) * kappa[-1])
+    g = inputs[-1] @ layers[-1].weight.T + layers[-1].bias
+    jvp = tau[-1] @ layers[-1].weight.T
+    vjp = U
+    for l in range(top - 1, -1, -1):
+        vjp = (vjp @ layers[l + 1].weight) * lipswish_d1(pre[l], layers[l].beta)
+    vjp = vjp @ layers[0].weight
+    zbar, pi, cols = U, W, [None] * (top + 1)
+    for l in range(top, -1, -1):
+        if l < top:
+            lay, z = layers[l], pre[l]
+            abar, lam = zbar @ layers[l + 1].weight, pi @ layers[l + 1].weight
+            zbar = abar * lipswish_d1(z, lay.beta) + lam * kappa[l] * lipswish_d2(z, lay.beta)
+            dbeta = abar * lipswish_dbeta(z, lay.beta) + lam * kappa[l] * lipswish_d1_dbeta(z, lay.beta)
+            pi = lam * lipswish_d1(z, lay.beta)
+        weight = zbar[:, :, None] * inputs[l][:, None, :] + pi[:, :, None] * tau[l][:, None, :]
+        cols[l] = [weight.reshape(len(X), -1), zbar]
+        if l < top:
+            cols[l].append(dbeta.sum(axis=1, keepdims=True) * beta_raw_chain(lay.raw_beta))
+    per_row = np.concatenate([c for layer in cols for c in layer], axis=1)
+    return g, jvp, vjp, per_row, zbar @ layers[0].weight
+
+
+class TestAgainstReference:
+    """The kernels against straight-line references from ``activations.lipswish*``."""
+
+    @pytest.mark.parametrize("case", ["1-hidden", "2-hidden", "3-hidden", "uneven"])
+    def test_kernels_match_reference(self, case):
+        if case == "uneven":
+            params = uneven_block()
+        else:
+            params = make_block(seed=30, hidden=16, n_layers=int(case[0]) + 1)
+        rng = np.random.default_rng(31)
+        X, U, W, V = rng.standard_normal((4, 23, 2))
+        X *= 3.0
+        g, jvp, vjp, per_row, xbar = reference_pass(params, X, U, W, V)
+        _, _, _, bilinear_rows, bilinear_xbar = reference_pass(params, X, 0 * U, W, V)
+        assert_close(block_forward(params, X), g)
+        assert_close(block_jvp(params, X, V), jvp)
+        assert_close(block_vjp(params, X, U), vjp)
+        grads, got_xbar, got_jvp = block_param_grad(params, X, u=U, w=W, v=V, return_jvp=True)
+        assert_close(grads_vector(grads), per_row.sum(axis=0))
+        assert_close(got_xbar, xbar)
+        assert_close(got_jvp, jvp)
+        assert_close(bilinear_param_grad_per_sample(params, X, W, V), bilinear_rows)
+        grads, got_xbar = bilinear_param_grad(params, X, W, V, want_input_grad=True)
+        assert_close(grads_vector(grads), bilinear_rows.sum(axis=0))
+        assert_close(got_xbar, bilinear_xbar)
+
+    def test_saturated_logistic_stays_finite(self):
+        """beta z from -2000 to 2000: the one-exponential logistic overflows
+        inside its own error state and reaches exactly 0 and 1."""
+        rng = np.random.default_rng(32)
+        params = make_block(seed=33, hidden=8, n_layers=2)
+        params.layers[0].weight[...] = 1000.0 * np.sign(rng.standard_normal((8, 2)))
+        X = np.concatenate([np.linspace(-1.0, 1.0, 9)[:, None] * [1.0, -1.0], [[1.0, 1.0], [-1.0, -1.0]]])
+        U, W, V = rng.standard_normal((3, len(X), 2))
+        with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            g, cache = block_forward_cache(params, X)
+            t = cache.pre[0] * cache.betas[0]
+            assert t.min() < -800 and t.max() > 800
+            assert np.all(cache.act[0][t < -800] == 0.0) and np.all(cache.act[0][t > 800] == 1.0)
+            outputs = [g, block_forward(params, X), block_jvp(params, X, V), block_vjp(params, X, U)]
+            grads, xbar, jvp = block_param_grad(params, X, u=U, w=W, v=V, return_jvp=True)
+            outputs += [grads_vector(grads), xbar, jvp, bilinear_param_grad_per_sample(params, X, W, V)]
+        assert all(np.all(np.isfinite(a)) for a in outputs)
 
 
 class TestParamVector:

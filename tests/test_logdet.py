@@ -394,15 +394,20 @@ class TestSeriesKernel:
         expected_values, expected_w = self.dense_sums(jac, v, K, cfg.roulette)
 
         _, cache = block_forward_cache(params, X)
-        values, w = _series(params, cache, v, K, *coefs, point_of_row=point_of_row)
-        np.testing.assert_allclose(values, expected_values, rtol=1e-12)
+        # with the cotangent every row stops one step early: the values lack
+        # their last term, which the last chain state dotted with J v gives
+        values, w, last = _series(params, cache, v, K, *coefs, point_of_row=point_of_row)
+        jv = np.einsum("ijk,ik->ij", jac, v)
+        np.testing.assert_allclose(values + coefs[0][K - 1] * np.einsum("ij,ij->i", last, jv),
+                                   expected_values, rtol=1e-12)
         np.testing.assert_allclose(w, expected_w, rtol=1e-12)
-        # value-only calls step with J, cotangent-only calls stop one term early
-        values_jvp, no_w = _series(params, cache, v, K, coefs[0], point_of_row=point_of_row)
+        # value-only calls step with J, all K terms
+        values_jvp, no_w, no_last = _series(params, cache, v, K, coefs[0], point_of_row=point_of_row)
         np.testing.assert_allclose(values_jvp, expected_values, rtol=1e-12)
-        assert no_w is None
-        _, w_only = _series(params, cache, v, K, None, coefs[1], point_of_row=point_of_row)
+        assert no_w is None and no_last is None
+        _, w_only, no_last = _series(params, cache, v, K, None, coefs[1], point_of_row=point_of_row)
         np.testing.assert_allclose(w_only, expected_w, rtol=1e-12)
+        assert no_last is None
 
 
 def minor_faults(call, repeats=3):
@@ -495,6 +500,27 @@ class TestTrainingEstimators:
             expected += grads_vector(g_i)
             np.testing.assert_allclose(ig[i], ig_i, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(grads_vector(g), expected, rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize("n_hutchinson", [1, 3])
+    def test_values_equal_the_full_k_step_series(self, n_hutchinson):
+        # the training series stops each row one step early and takes the
+        # last term from the reverse pass's J v: the same values as the
+        # value-only series that runs all K steps, for the same draws
+        from resflow.blocks import block_forward_cache
+        from resflow.logdet import _draw, _series
+
+        params = mlp_block(seed=12, hidden=8, frac=1.2)
+        X = np.random.default_rng(13).standard_normal((10, 2))
+        cfg = EstimatorConfig(n_hutchinson=n_hutchinson)
+        rows = 10 * n_hutchinson
+        values, _, _, _ = roulette_value_and_neumann_grad_rows(
+            params, X, cfg, np.random.default_rng(14), out_cot=np.ones((10, 2))
+        )
+        v, K, (coefs, _) = _draw(np.random.default_rng(14), 2, cfg, rows)
+        assert len(set(K)) > 2
+        _, cache = block_forward_cache(params, X)
+        full, _, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(rows) // n_hutchinson)
+        np.testing.assert_allclose(values, full.reshape(10, n_hutchinson).mean(axis=1), rtol=1e-12)
 
     def test_biased_rows_expectation_is_truncated_series(self):
         params = mlp_block(seed=11, hidden=5, frac=1.2)

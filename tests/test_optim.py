@@ -47,6 +47,30 @@ class TestAdamW:
         # zero gradient: only decay acts
         np.testing.assert_allclose(p1, p * 0.9, rtol=1e-14)
 
+    def test_in_place_update_matches_the_textbook_expressions_bit_for_bit(self):
+        lr, b1, b2, eps, wd = 3e-3, 0.9, 0.99, 1e-8, 1e-4
+        opt = AdamW(size=50, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        polyak = PolyakAverage(decay=0.97)
+        m_buf, v_buf = opt.m, opt.v
+        rng = np.random.default_rng(2)
+        p = rng.standard_normal(50)
+        m, v, shadow = np.zeros(50), np.zeros(50), np.zeros(50)
+        for t in range(1, 6):
+            g = rng.standard_normal(50) * 10.0 ** rng.integers(-6, 3, size=50)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+            ref = p - lr * m_hat / (np.sqrt(v_hat) + eps) - wd * p
+            got = opt.step(p, g)
+            assert not np.shares_memory(got, p) and not np.shares_memory(got, opt.m)
+            for a, b in ((got, ref), (opt.m, m), (opt.v, v)):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+            shadow = 0.97 * shadow + (1.0 - 0.97) * got
+            polyak.update(got)
+            np.testing.assert_array_equal(polyak.shadow.view(np.int64), shadow.view(np.int64))
+            p = got
+        assert opt.m is m_buf and opt.v is v_buf
+
     def test_hyperparameter_validation(self):
         with pytest.raises(ValueError):
             AdamW(size=1, lr=-1.0)

@@ -12,6 +12,7 @@ from resflow.flow import ActNorm, FlowModel, ResidualBlock, log_density_batch
 from resflow.logdet import (
     EstimatorConfig,
     biased_logdet_exact_trace_rows,
+    biased_value_and_grad_rows,
     exact_logdet,
     roulette_value_and_neumann_grad_rows,
 )
@@ -112,9 +113,72 @@ class TestObjectiveGradient:
         )
 
 
-def two_call_unbiased_grads(model, X, est_cfg, rng):
+    @pytest.mark.parametrize("n_hutchinson", [1, 2])
+    def test_biased_gradient_matches_two_call_composition(self, n_hutchinson):
+        # the pathwise term rides the first bilinear form's reverse pass
+        state = init_train_state(
+            tiny_cfg(blocks=3, hidden=8, estimator_kind="biased", n_hutchinson=n_hutchinson)
+        )
+        X = state.dataset.sample(32)
+        _, grads, _ = nll_and_grad(state.model, X, "biased", state.est_cfg, np.random.default_rng(3))
+        expected = two_call_unbiased_grads(
+            state.model, X, state.est_cfg, np.random.default_rng(3), biased_value_and_grad_rows
+        )
+        np.testing.assert_allclose(
+            state.packer.pack_grads(state.model, grads),
+            state.packer.pack_grads(state.model, expected),
+            rtol=1e-12,
+        )
+
+    def test_probe_rows_reuse_the_forward_cache(self, monkeypatch):
+        # n_hutchinson = 3: the block forward runs once per block, and each
+        # probe row reads its point's cache row; gradients equal those of a
+        # forward rerun on every point repeated once per probe
+        import dataclasses
+
+        from resflow import logdet, train
+
+        state = init_train_state(tiny_cfg(blocks=3, hidden=8, n_hutchinson=3))
+        X = state.dataset.sample(32)
+        calls = []
+        for module in (train, logdet):
+            forward = module.block_forward_cache
+
+            def counted(*args, _forward=forward, **kwargs):
+                calls.append(1)
+                return _forward(*args, **kwargs)
+
+            monkeypatch.setattr(module, "block_forward_cache", counted)
+        loss, grads, _ = nll_and_grad(state.model, X, "unbiased", state.est_cfg, np.random.default_rng(3))
+        assert len(calls) == len(list(state.model.blocks())) == 3
+        monkeypatch.undo()
+
+        original = train.roulette_value_and_neumann_grad_rows
+
+        def rerun_on_repeated_rows(block, x_in, est_cfg, rng, cache=None, out_cot=None):
+            nh, n = est_cfg.n_hutchinson, x_in.shape[0]
+            one = dataclasses.replace(est_cfg, n_hutchinson=1)
+            values, terms, g, ig = original(
+                block, np.repeat(x_in, nh, axis=0), one, rng, out_cot=np.repeat(out_cot, nh, axis=0)
+            )
+            return (values.reshape(n, nh).mean(axis=1), terms.reshape(n, nh).sum(axis=1),
+                    g.scale_(1.0 / nh), ig.reshape(n, nh, -1).mean(axis=1))
+
+        monkeypatch.setattr(train, "roulette_value_and_neumann_grad_rows", rerun_on_repeated_rows)
+        ref_loss, ref_grads, _ = nll_and_grad(
+            state.model, X, "unbiased", state.est_cfg, np.random.default_rng(3)
+        )
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(
+            state.packer.pack_grads(state.model, grads),
+            state.packer.pack_grads(state.model, ref_grads),
+            rtol=1e-12,
+        )
+
+
+def two_call_unbiased_grads(model, X, est_cfg, rng, estimator=roulette_value_and_neumann_grad_rows):
     """Per-layer mean-NLL gradients with two calls per residual block: the
-    pathwise reverse pass, then the log-det estimator without an output
+    pathwise reverse pass, then the log-det ``estimator`` without an output
     cotangent."""
     inputs = []
     h = X
@@ -135,7 +199,7 @@ def two_call_unbiased_grads(model, X, est_cfg, rng):
             cot = cot * scale
             continue
         bg, vjp = block_param_grad_of_output(lay.params, x_in, cot, return_vjp=True)
-        _, _, lg, ig = roulette_value_and_neumann_grad_rows(lay.params, x_in, est_cfg, rng)
+        _, _, lg, ig = estimator(lay.params, x_in, est_cfg, rng)
         grads[idx] = bg.add_(lg, scale=-1.0).scale_(1.0 / n)
         cot = cot + vjp - ig
     return grads

@@ -19,28 +19,17 @@ import numpy as np
 LIPSWISH_SCALE = 1.1
 
 
-def sigmoid(t, out=None, work=None):
+def sigmoid(t):
     """Numerically stable logistic function.
 
     ``1 / (1 + e)`` for ``t >= 0`` and ``e / (1 + e)`` otherwise, with
     ``e = exp(-|t|)``; the numerator ``max(e, t >= 0)`` picks between the
     two without a branch, bit for bit.
-
-    ``out`` receives the result and may be ``t`` itself; ``work``, an
-    array of ``t``'s shape sharing memory with neither, holds ``-|t|``,
-    ``e`` and ``1 + e``.  Each is allocated when None, so the block
-    kernels, which pass both, make no temporary of ``t``'s size.
     """
     t = np.asarray(t, dtype=np.float64)
-    e = np.abs(t, out=np.empty_like(t) if work is None else work)
-    np.exp(np.negative(e, out=e), out=e)
-    if out is None:
-        # a fresh result, as the cached forward has always made it: filling an
-        # empty one instead measured 3.3x the page faults per training step
-        out = np.maximum(e, t >= 0)
-    else:  # t >= 0 as 1.0 / 0.0 in out, then the numerator over it
-        np.maximum(e, np.greater_equal(t, 0.0, out=out), out=out)
-    out /= np.add(e, 1.0, out=e)
+    e = np.exp(-np.abs(t))
+    out = np.maximum(e, t >= 0)
+    out /= 1.0 + e
     if out.ndim == 0:
         return float(out)
     return out

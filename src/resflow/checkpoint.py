@@ -4,12 +4,15 @@ One ``key = value`` line per field, floats serialized with ``repr`` so
 every value round-trips exactly: save -> load -> save is byte-identical.
 The file carries the full model (including cached power-iteration
 vectors), arbitrary caller arrays (e.g. the Polyak shadow), and string
-metadata (config echo, seed, step).
+metadata (config echo, seed, step).  A save writes a temporary file
+beside the target and renames it over the target, so a process killed
+mid-write leaves the previous checkpoint whole.
 """
 
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +81,14 @@ def save_checkpoint(
         out.write(f"meta.{key} = {(meta or {})[key]}\n")
     for key in sorted(arrays or {}):
         out.write(f"array.{key} = {_fmt_floats((arrays or {})[key])}\n")
-    Path(path).write_text(out.getvalue())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(out.getvalue())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path):

@@ -31,8 +31,9 @@ from resflow.config import (
     config_from_mapping,
     read_config_file,
 )
+from resflow.data import make_dataset
 from resflow.errors import ConfigError, ResflowError
-from resflow.flow import FlowModel, ResidualBlock, inverse, sample, transform
+from resflow.flow import inverse, sample, transform
 from resflow.grid import compute_grid, write_grid_csv, write_grid_pgm
 from resflow.logdet import (
     EstimatorConfig,
@@ -43,11 +44,11 @@ from resflow.logdet import (
 )
 from resflow.norms import checkpoint_constraint, init_block_params
 from resflow.train import (
-    ParamPacker,
+    EVAL_SEED_OFFSET,
     eval_estimator_config_from,
+    eval_record,
     fit,
-    log_density_batch,
-    nats_to_bits,
+    load_state_checkpoint,
 )
 
 EXIT_OK = 0
@@ -192,51 +193,13 @@ def cmd_train(args, overrides) -> int:
     return EXIT_OK
 
 
-def _load_eval_model(path: str) -> tuple[FlowModel, dict[str, str]]:
-    """Checkpoint model with the Polyak average swapped in and constrained."""
-    model, meta, arrays = load_checkpoint(path)
-    count = int(meta.get("polyak.count", "0"))
-    if count > 0 and "polyak.shadow" in arrays:
-        decay = float(meta.get("train.polyak_decay", "0.999"))
-        packer = ParamPacker(model)
-        packer.set_vector(model, arrays["polyak.shadow"] / (1.0 - decay**count))
-    coeff = float(meta.get("lipschitz.coeff", "0.98"))
-    for lay in model.layers:
-        if isinstance(lay, ResidualBlock):
-            checkpoint_constraint(lay.params, coeff)
-    return model, meta
-
-
-def _eval_cfg_from_meta(meta: dict[str, str]) -> EstimatorConfig:
-    known = {k: v for k, v in meta.items() if k in KEY_TO_FIELD}
-    return eval_estimator_config_from(config_from_mapping(known))
-
-
 def cmd_eval(args, overrides) -> int:
-    model, meta = _load_eval_model(args.checkpoint)
+    model, cfg = load_state_checkpoint(args.checkpoint)
     out = resolve_out_dir(args)
-    seed = args.seed if args.seed is not None else int(meta.get("train.seed", "0"))
-    from resflow.data import make_dataset
-
-    dataset = make_dataset(meta.get("train.dataset", "checkerboard"), seed=seed + 777_001)
-    X = dataset.sample(args.n_eval)
+    seed = cfg.seed if args.seed is None else args.seed
+    X = make_dataset(cfg.dataset, seed=seed + EVAL_SEED_OFFSET).sample(args.n_eval)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 555]))
-    if args.mode == "exact":
-        _, logp, mean_terms = log_density_batch(model, X, mode="exact")
-    else:
-        _, logp, mean_terms = log_density_batch(
-            model, X, mode="unbiased", cfg=_eval_cfg_from_meta(meta), rng=rng
-        )
-    nll = float(np.mean(-logp))
-    record = {
-        "checkpoint": str(args.checkpoint),
-        "eval_mode": args.mode,
-        "eval_nll_nats": nll,
-        "eval_nll_bits": nats_to_bits(nll),
-        "eval_nll_se_nats": float(np.std(-logp, ddof=1) / np.sqrt(len(logp))),
-        "eval_mean_terms": mean_terms,
-        "n_eval": args.n_eval,
-    }
+    record = {"checkpoint": str(args.checkpoint), **eval_record(model, X, args.mode, cfg, rng)}
     text = json.dumps(record, sort_keys=True)
     (out / "eval.json").write_text(text + "\n")
     print(text)
@@ -246,7 +209,7 @@ def cmd_eval(args, overrides) -> int:
 def cmd_sample(args, overrides) -> int:
     if args.n < 0:
         raise ConfigError("--n must be non-negative")
-    model, meta = _load_eval_model(args.checkpoint)
+    model, _ = load_state_checkpoint(args.checkpoint)
     out = resolve_out_dir(args)
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
@@ -267,7 +230,7 @@ def cmd_sample(args, overrides) -> int:
 
 
 def cmd_grid(args, overrides) -> int:
-    model, meta = _load_eval_model(args.checkpoint)
+    model, cfg = load_state_checkpoint(args.checkpoint)
     out = resolve_out_dir(args)
     try:
         bounds = tuple(float(t) for t in args.bounds.split(","))
@@ -283,7 +246,7 @@ def cmd_grid(args, overrides) -> int:
         bounds,
         (nx, ny),
         mode=args.mode,
-        cfg=_eval_cfg_from_meta(meta) if args.mode == "estimator" else None,
+        cfg=eval_estimator_config_from(cfg) if args.mode == "estimator" else None,
         rng=rng if args.mode == "estimator" else None,
     )
     write_grid_csv(grid, out / "grid.csv")

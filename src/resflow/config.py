@@ -11,7 +11,7 @@ fails as a ``ConfigError`` before a run writes anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from resflow.data import DATASET_NAMES
@@ -20,42 +20,48 @@ from resflow.logdet import EstimatorConfig, RouletteDist
 from resflow.norms import NORM_PRESETS, check_coeff
 
 
+def _key(dotted: str, default):
+    """A config field with its dotted key, the name files and overrides use."""
+    return field(default=default, metadata={"key": dotted})
+
+
 @dataclass
 class TrainConfig:
     # optimization
-    lr: float = 1e-3
-    weight_decay: float = 5e-4
-    polyak_decay: float = 0.999
-    batch_size: int = 512
-    steps: int = 2000
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    adam_eps: float = 1e-8
+    lr: float = _key("train.lr", 1e-3)
+    weight_decay: float = _key("train.weight_decay", 5e-4)
+    polyak_decay: float = _key("train.polyak_decay", 0.999)
+    batch_size: int = _key("train.batch_size", 512)
+    steps: int = _key("train.steps", 2000)
+    adam_beta1: float = _key("train.adam_beta1", 0.9)
+    adam_beta2: float = _key("train.adam_beta2", 0.99)
+    adam_eps: float = _key("train.adam_eps", 1e-8)
     # model / data
-    dataset: str = "checkerboard"
-    blocks: int = 10
-    hidden: int = 128
-    seed: int = 0
-    actnorm_init: str = "identity"  # or "data" (standardize on the first batch)
+    dataset: str = _key("train.dataset", "checkerboard")
+    blocks: int = _key("train.blocks", 10)
+    hidden: int = _key("train.hidden", 128)
+    seed: int = _key("train.seed", 0)
+    # or "data" (standardize on the first batch)
+    actnorm_init: str = _key("train.actnorm_init", "identity")
     # lipschitz constraint
-    lipschitz_coeff: float = 0.98
-    norm_preset: str = "spectral"
-    lipschitz_tol: float = 1e-3
-    lipschitz_max_iters: int = 200
-    lipschitz_max_iters_warm: int = 10
+    lipschitz_coeff: float = _key("lipschitz.coeff", 0.98)
+    norm_preset: str = _key("lipschitz.norm_preset", "spectral")
+    lipschitz_tol: float = _key("lipschitz.tol", 1e-3)
+    lipschitz_max_iters: int = _key("lipschitz.max_iters", 200)
+    lipschitz_max_iters_warm: int = _key("lipschitz.max_iters_warm", 10)
     # log-det estimator
-    estimator_kind: str = "unbiased"  # or "biased"
-    q: float = 0.5
-    n_exact: int = 2
-    n_fixed: int = 5
-    hutchinson: str = "gaussian"
-    n_hutchinson: int = 1
+    estimator_kind: str = _key("estimator.kind", "unbiased")  # or "biased"
+    q: float = _key("estimator.q", 0.5)
+    n_exact: int = _key("estimator.n_exact", 2)
+    n_fixed: int = _key("estimator.n_fixed", 5)
+    hutchinson: str = _key("estimator.hutchinson", "gaussian")
+    n_hutchinson: int = _key("estimator.n_hutchinson", 1)
     # evaluation protocol
-    eval_every: int = 200
-    n_eval: int = 2000
-    eval_terms: int = 20
-    eval_tail_samples: int = 10
-    checkpoint_every: int = 1000
+    eval_every: int = _key("train.eval_every", 200)
+    n_eval: int = _key("train.n_eval", 2000)
+    eval_terms: int = _key("train.eval_terms", 20)
+    eval_tail_samples: int = _key("train.eval_tail_samples", 10)
+    checkpoint_every: int = _key("train.checkpoint_every", 1000)
 
     def __post_init__(self) -> None:
         if self.lr < 0:
@@ -74,24 +80,26 @@ class TrainConfig:
                 f"got {self.norm_preset!r}"
             )
         # blocks = 0 is the actnorm-only baseline; checkpoint_every = 0 disables
-        for key, value, least in [
-            ("train.hidden", self.hidden, 1),
-            ("train.batch_size", self.batch_size, 1),
-            ("train.steps", self.steps, 0),
-            ("train.blocks", self.blocks, 0),
-            ("train.n_eval", self.n_eval, 1),
-            ("train.eval_every", self.eval_every, 1),
-            ("train.checkpoint_every", self.checkpoint_every, 0),
-            ("lipschitz.max_iters", self.lipschitz_max_iters, 1),
-            ("lipschitz.max_iters_warm", self.lipschitz_max_iters_warm, 1),
+        for name, least in [
+            ("hidden", 1),
+            ("batch_size", 1),
+            ("steps", 0),
+            ("blocks", 0),
+            ("n_eval", 1),
+            ("eval_every", 1),
+            ("checkpoint_every", 0),
+            ("lipschitz_max_iters", 1),
+            ("lipschitz_max_iters_warm", 1),
         ]:
+            value = getattr(self, name)
             if value < least:
-                raise ConfigError(f"{key} must be >= {least}, got {value}")
+                raise ConfigError(f"{FIELD_TO_KEY[name]} must be >= {least}, got {value}")
         if not self.lipschitz_tol > 0:
             raise ConfigError(f"lipschitz.tol must be positive, got {self.lipschitz_tol}")
-        for key, beta in [("train.adam_beta1", self.adam_beta1), ("train.adam_beta2", self.adam_beta2)]:
+        for name in ("adam_beta1", "adam_beta2"):
+            beta = getattr(self, name)
             if not (0.0 <= beta < 1.0):
-                raise ConfigError(f"{key} must lie in [0, 1), got {beta}")
+                raise ConfigError(f"{FIELD_TO_KEY[name]} must lie in [0, 1), got {beta}")
         try:
             check_coeff(self.lipschitz_coeff)
             # the training estimator, then the evaluation protocol's
@@ -105,38 +113,8 @@ class TrainConfig:
             raise ConfigError(str(exc)) from exc
 
 
-# dotted config key -> dataclass field
-KEY_TO_FIELD = {
-    "train.lr": "lr",
-    "train.weight_decay": "weight_decay",
-    "train.polyak_decay": "polyak_decay",
-    "train.batch_size": "batch_size",
-    "train.steps": "steps",
-    "train.adam_beta1": "adam_beta1",
-    "train.adam_beta2": "adam_beta2",
-    "train.adam_eps": "adam_eps",
-    "train.dataset": "dataset",
-    "train.blocks": "blocks",
-    "train.hidden": "hidden",
-    "train.seed": "seed",
-    "train.actnorm_init": "actnorm_init",
-    "train.eval_every": "eval_every",
-    "train.n_eval": "n_eval",
-    "train.eval_terms": "eval_terms",
-    "train.eval_tail_samples": "eval_tail_samples",
-    "train.checkpoint_every": "checkpoint_every",
-    "lipschitz.coeff": "lipschitz_coeff",
-    "lipschitz.norm_preset": "norm_preset",
-    "lipschitz.tol": "lipschitz_tol",
-    "lipschitz.max_iters": "lipschitz_max_iters",
-    "lipschitz.max_iters_warm": "lipschitz_max_iters_warm",
-    "estimator.kind": "estimator_kind",
-    "estimator.q": "q",
-    "estimator.n_exact": "n_exact",
-    "estimator.n_fixed": "n_fixed",
-    "estimator.hutchinson": "hutchinson",
-    "estimator.n_hutchinson": "n_hutchinson",
-}
+# dotted config key -> dataclass field, as declared on each field
+KEY_TO_FIELD = {f.metadata["key"]: f.name for f in fields(TrainConfig)}
 
 FIELD_TO_KEY = {v: k for k, v in KEY_TO_FIELD.items()}
 

@@ -9,12 +9,12 @@ layers contribute the sum of their log scales.
 
 :func:`log_density_batch` is the one density route, for any number of
 rows (a single point is a one-row batch): it takes each block's
-log-determinant and output from ``logdet.exact_logdet``,
-``roulette_logdet_rows`` or ``biased_logdet_rows``, whose forward already
-computes ``g``.  :func:`transform` applies ``f`` alone;
-:func:`inverse` is plain fixed-point iteration ``x <- z - g(x)``, which
-converges geometrically because every branch is a contraction, and
-:func:`sample` pulls base draws back through it.
+log-determinant and output from ``logdet.exact_logdet`` or
+``roulette_logdet_rows``, whose forward already computes ``g``.
+:func:`transform` applies ``f`` alone; :func:`inverse` is plain
+fixed-point iteration ``x <- z - g(x)``, which converges geometrically
+because every branch is a contraction, and :func:`sample` pulls base
+draws back through it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from resflow.blocks import BlockParams, block_forward, work_buffers
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
-from resflow.logdet import EstimatorConfig, biased_logdet_rows, exact_logdet, roulette_logdet_rows
+from resflow.logdet import EstimatorConfig, exact_logdet, roulette_logdet_rows
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
@@ -214,18 +214,18 @@ def log_density_batch(
     """Density evaluation over rows of ``X``.
 
     ``mode`` selects the per-block log-determinant route: ``exact``
-    (dense oracle, small d), ``unbiased`` (roulette estimate) or
-    ``biased`` (fixed truncation); stochastic modes need ``cfg`` and
-    ``rng``.  Returns (transformed points, per-row log density in nats, mean number
-    of series terms per residual block and row; 0.0 in exact mode).
+    (dense oracle, small d) or ``unbiased`` (roulette estimate, which
+    needs ``cfg`` and ``rng``).  Returns (transformed points, per-row log
+    density in nats, mean number of series terms per residual block and
+    row; 0.0 in exact mode).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.dim:
         raise ShapeError(f"expected points of dim {model.dim}")
-    if mode not in ("exact", "unbiased", "biased"):
+    if mode not in ("exact", "unbiased"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode != "exact" and (cfg is None or rng is None):
-        raise ValueError(f"mode {mode!r} needs an estimator config and rng")
+    if mode == "unbiased" and (cfg is None or rng is None):
+        raise ValueError("mode 'unbiased' needs an estimator config and rng")
     h = X
     logdet = np.zeros(X.shape[0])
     terms_total = 0.0
@@ -240,8 +240,7 @@ def log_density_batch(
             if mode == "exact":
                 vals, g = exact_logdet(lay.params, h, with_output=True)
             else:
-                route = roulette_logdet_rows if mode == "unbiased" else biased_logdet_rows
-                vals, terms, g = route(lay.params, h, cfg, rng)
+                vals, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
                 terms_total += float(terms.mean())
             logdet += vals
             g += h  # in place, as in ActNorm.inverse

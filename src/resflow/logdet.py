@@ -15,8 +15,8 @@ steps ``w`` needs and takes its last value term from the ``J_g v`` of the
 bilinear form's reverse pass.  :func:`_differentiated_series` differentiates
 every term and keeps both chains: storage linear in the truncation.
 
-Entry points: values per row (``*_logdet_rows``) or at one point
-(``*_logdet_batch``); training value and gradient per row
+Entry points: unbiased values per row (``roulette_logdet_rows``) or at
+one point (``*_logdet_batch``); training value and gradient per row
 (``roulette_value_and_neumann_grad_rows``, ``biased_value_and_grad_rows``);
 single-point gradients (``neumann_logdet_grad``, ``neumann_grad_samples``,
 ``neumann_grad_exact_trace``, ``naive_series_grad``); and the dense
@@ -350,17 +350,6 @@ def roulette_logdet_rows(
     ``g(X)``), the last the block output of the forward the estimate was
     built on, bit for bit ``block_forward``."""
     return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)))
-
-
-def biased_logdet_rows(
-    params: BlockParams,
-    X: np.ndarray,
-    cfg: EstimatorConfig,
-    rng: np.random.Generator,
-):
-    """One fixed-truncation estimate per row of ``X``; returns as
-    :func:`roulette_logdet_rows`."""
-    return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)), biased=True)
 
 
 def roulette_logdet_batch(

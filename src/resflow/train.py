@@ -21,14 +21,15 @@ weight gradient is chained back through the normalization factor, norm
 included, by ``norms.lipschitz_constraint_vjp``.  Each step: gradient at
 the current model, one Adam update of ``V`` with decoupled weight decay,
 Polyak update of ``V``, then the weights derived from the new ``V``.
-Evaluation constrains the Polyak average of ``V`` the same way.
+Evaluation constrains the Polyak average of ``V`` the same way, in the
+run and when :func:`load_state_checkpoint` reads a run's checkpoint back.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,14 +39,21 @@ from resflow.blocks import (
     block_param_grad_of_output,
     derive_cache,
     grads_vector,
+    param_count,
     param_vector,
     release_workspace,
     set_param_vector,
 )
-from resflow.checkpoint import save_checkpoint
-from resflow.config import TrainConfig, config_to_mapping, write_config_file
+from resflow.checkpoint import load_checkpoint, save_checkpoint
+from resflow.config import (
+    KEY_TO_FIELD,
+    TrainConfig,
+    config_from_mapping,
+    config_to_mapping,
+    write_config_file,
+)
 from resflow.data import Dataset2D, make_dataset
-from resflow.errors import NonFiniteError
+from resflow.errors import ConfigError, NonFiniteError
 from resflow.flow import (
     ActNorm,
     FlowModel,
@@ -72,6 +80,10 @@ from resflow.norms import (
 from resflow.optim import AdamW, PolyakAverage
 
 LN2 = math.log(2.0)
+
+# added to the run's seed for the evaluation points' stream, so they never
+# overlap training batches
+EVAL_SEED_OFFSET = 777_001
 
 
 def nats_to_bits(nats: float) -> float:
@@ -110,12 +122,10 @@ class ParamPacker:
     """
 
     def __init__(self, model: FlowModel):
-        self.sizes: list[int] = []
-        for lay in model.layers:
-            if isinstance(lay, ActNorm):
-                self.sizes.append(2 * model.dim)
-            else:
-                self.sizes.append(param_vector(lay.params).size)
+        self.sizes = [
+            2 * model.dim if isinstance(lay, ActNorm) else param_count(lay.params)
+            for lay in model.layers
+        ]
         self.total = int(sum(self.sizes))
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(int)
 
@@ -269,15 +279,13 @@ class TrainState:
     rng_eval: np.random.Generator
     params: np.ndarray  # unnormalized V; the model holds its constrained image
     step: int = 0
-    layer_norm_log: list = field(default_factory=list)
 
 
 def init_train_state(cfg: TrainConfig) -> TrainState:
     root = np.random.SeedSequence(cfg.seed)
     ss_init, ss_train, ss_eval = root.spawn(3)
     dataset = make_dataset(cfg.dataset, seed=cfg.seed)
-    # a disjoint stream so evaluation points never overlap training batches
-    eval_dataset = make_dataset(cfg.dataset, seed=cfg.seed + 777_001)
+    eval_dataset = make_dataset(cfg.dataset, seed=cfg.seed + EVAL_SEED_OFFSET)
     model = build_model(
         np.random.default_rng(ss_init),
         dim=2,
@@ -363,47 +371,62 @@ def train_step(state: TrainState, batch: np.ndarray) -> dict:
     return record
 
 
-def eval_model(state: TrainState) -> FlowModel:
-    """Polyak-averaged, fully constrained copy for evaluation."""
-    model = state.model.copy()
-    vec = state.polyak.average(fallback=state.params)
-    state.packer.set_vector(model, vec)
+def _certified(model: FlowModel, packer: ParamPacker, vec: np.ndarray, coeff: float) -> FlowModel:
+    """``model`` with ``vec`` laid over it and every block certified at ``coeff``."""
+    packer.set_vector(model, vec)
     for lay in model.layers:
         if isinstance(lay, ResidualBlock):
-            checkpoint_constraint(lay.params, state.cfg.lipschitz_coeff)
+            checkpoint_constraint(lay.params, coeff)
     return model
 
 
-def evaluate(state: TrainState, n_eval: int | None = None, mode: str = "exact") -> dict:
-    """Mean NLL of the Polyak model over fresh dataset samples.
+def eval_model(state: TrainState) -> FlowModel:
+    """Polyak-averaged, fully constrained copy for evaluation.
+
+    The copy keeps the run's power-iteration state, ``pi_scale`` included,
+    which a checkpoint does not save; so the run evaluates this copy, not a
+    saved and reloaded one.
+    """
+    vec = state.polyak.average(fallback=state.params)
+    return _certified(state.model.copy(), state.packer, vec, state.cfg.lipschitz_coeff)
+
+
+def eval_record(
+    model: FlowModel, X: np.ndarray, mode: str, cfg: TrainConfig, rng: np.random.Generator
+) -> dict:
+    """Mean NLL of ``model`` over the rows of ``X``, as an evaluation record.
 
     ``mode='exact'`` uses the dense oracle; ``mode='estimator'`` uses the
     evaluation protocol (eval_terms leading terms, unbiased tail,
-    eval_tail_samples probe draws per point).
+    eval_tail_samples probe draws per point) with ``rng``.
     """
-    cfg = state.cfg
-    n_eval = cfg.n_eval if n_eval is None else n_eval
-    model = eval_model(state)
-    X = state.eval_dataset.sample(n_eval)
     if mode == "exact":
-        _, logp, _ = log_density_batch(model, X, mode="exact")
-        mean_terms = 0.0
+        _, logp, mean_terms = log_density_batch(model, X, mode="exact")
     elif mode == "estimator":
         _, logp, mean_terms = log_density_batch(
-            model, X, mode="unbiased", cfg=eval_estimator_config_from(cfg), rng=state.rng_eval
+            model, X, mode="unbiased", cfg=eval_estimator_config_from(cfg), rng=rng
         )
     else:
         raise ValueError(f"unknown eval mode {mode!r}")
     nll = float(np.mean(-logp))
     return {
-        "step": state.step,
         "eval_mode": mode,
         "eval_nll_nats": nll,
         "eval_nll_bits": nats_to_bits(nll),
         "eval_nll_se_nats": float(np.std(-logp, ddof=1) / np.sqrt(len(logp))),
         "eval_mean_terms": mean_terms,
-        "n_eval": n_eval,
+        "n_eval": len(X),
     }
+
+
+def evaluate(state: TrainState, n_eval: int | None = None, mode: str = "exact") -> dict:
+    """Mean NLL of the Polyak model over fresh dataset samples, with the step;
+    ``mode`` as in :func:`eval_record`."""
+    cfg = state.cfg
+    n_eval = cfg.n_eval if n_eval is None else n_eval
+    model = eval_model(state)
+    X = state.eval_dataset.sample(n_eval)
+    return {"step": state.step, **eval_record(model, X, mode, cfg, state.rng_eval)}
 
 
 def fit(cfg: TrainConfig, out_dir: str | Path, progress: bool = False) -> TrainState:
@@ -443,6 +466,30 @@ def save_state_checkpoint(state: TrainState, path: str | Path) -> None:
     if state.polyak.shadow is not None:
         arrays["polyak.shadow"] = state.polyak.shadow
     save_checkpoint(path, state.model, meta=meta, arrays=arrays)
+
+
+def load_state_checkpoint(path: str | Path) -> tuple[FlowModel, TrainConfig]:
+    """The evaluation model of a :func:`save_state_checkpoint` file, and its
+    run's config.
+
+    The model is the Polyak average of ``V`` (the saved weights when the
+    file has no average) with every block certified, as :func:`eval_model`
+    builds it in the run.  Metadata that does not make a valid config or
+    average is a ``ConfigError``.
+    """
+    model, meta, arrays = load_checkpoint(path)
+    try:
+        cfg = config_from_mapping({k: v for k, v in meta.items() if k in KEY_TO_FIELD})
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from exc
+    packer = ParamPacker(model)
+    shadow = arrays.get("polyak.shadow")
+    count = meta.get("polyak.count", "0") if shadow is not None else "0"
+    if not count.isdigit() or (int(count) and shadow.size != packer.total):
+        raise ConfigError(f"checkpoint {path} holds a bad Polyak average (count {count!r})")
+    polyak = PolyakAverage(decay=cfg.polyak_decay, shadow=shadow, count=int(count))
+    vec = polyak.average(fallback=packer.get_vector(model))
+    return _certified(model, packer, vec, cfg.lipschitz_coeff), cfg
 
 
 def gaussian_fit_nll(X: np.ndarray) -> float:

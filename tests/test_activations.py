@@ -147,18 +147,3 @@ def test_sigmoid_bit_identical_to_branching_form():
     keep = ~np.isnan(t)
     np.testing.assert_array_equal(out[keep].view(np.int64), branching[keep].view(np.int64))
 
-
-def test_sigmoid_into_buffers_bit_identical():
-    t = sigmoid_test_points()
-    fresh = sigmoid(t)
-    buf, work = np.full_like(t, 7.0), np.full_like(t, -3.0)
-    assert sigmoid(t, out=buf) is buf
-    np.testing.assert_array_equal(buf.view(np.int64), fresh.view(np.int64))
-    in_place = t.copy()
-    sigmoid(in_place, out=in_place, work=work)
-    np.testing.assert_array_equal(in_place.view(np.int64), fresh.view(np.int64))
-    # a 2-d leading-row slice of a larger buffer, as the block kernels pass it
-    rows = np.full((3, t.size), np.nan)
-    sigmoid(t[None, :], out=rows[:1], work=np.empty((1, t.size)))
-    np.testing.assert_array_equal(rows[0].view(np.int64), fresh.view(np.int64))
-    assert np.all(np.isnan(rows[1:]))

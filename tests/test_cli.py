@@ -312,6 +312,41 @@ class TestEval:
         assert not out.exists()
 
 
+class TestCheckpointCommands:
+    @pytest.mark.parametrize(
+        "command",
+        [["sample", "--n", "10"], ["eval", "--mode", "exact"], ["grid", "--resolution", "5,5"]],
+        ids=["sample", "eval_exact", "grid"],
+    )
+    def test_bad_metadata_exits_2_without_output(self, tiny_run, tmp_path, capsys, command):
+        text = (tiny_run / "checkpoint_final.txt").read_text()
+        text, n = re.subn(
+            r"^meta\.train\.polyak_decay = .*$", "meta.train.polyak_decay = 1.5", text, flags=re.M
+        )
+        assert n == 1
+        ckpt = tmp_path / "decay.txt"
+        ckpt.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli(command[0], "--checkpoint", str(ckpt), *command[1:], "--out-dir", str(out))
+        assert code == 2
+        assert "polyak_decay" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_record_keys_match_training_eval(self, tiny_run, tmp_path):
+        from resflow.config import TrainConfig
+        from resflow.train import evaluate, init_train_state
+
+        out = tmp_path / "ev"
+        code = run_cli(
+            "eval", "--checkpoint", str(tiny_run / "checkpoint_final.txt"),
+            "--mode", "estimator", "--n-eval", "20", "--out-dir", str(out),
+        )
+        assert code == 0
+        record = json.loads((out / "eval.json").read_text())
+        state = init_train_state(TrainConfig(blocks=1, hidden=4, n_eval=20))
+        assert set(record) - {"checkpoint"} == set(evaluate(state, mode="estimator")) - {"step"}
+
+
 class TestDiagnose:
     def test_table_shape_and_unbiased_rows(self, tmp_path):
         out = tmp_path / "diag"

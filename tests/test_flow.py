@@ -249,6 +249,22 @@ class TestCheckpoint:
         _, lp2, _ = log_density_batch(loaded, X)
         np.testing.assert_array_equal(lp1, lp2)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        import resflow.checkpoint
+
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(path, random_model(seed=27, n_blocks=1, hidden=4))
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(resflow.checkpoint.os, "replace", fail)
+        with pytest.raises(OSError, match="disk gone"):
+            save_checkpoint(path, random_model(seed=28, n_blocks=2, hidden=4))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.txt"]
+
     def test_missing_file_is_config_error(self, tmp_path):
         from resflow.errors import ConfigError
 

@@ -271,13 +271,10 @@ class TestNeumannGradient:
 
     def test_input_gradient_unbiased(self):
         params = mlp_block(seed=4, hidden=6)
-        cfg = EstimatorConfig()
-        rng = np.random.default_rng(3)
-        acc = np.zeros(2)
         M = 30_000
-        for _ in range(M):
-            _, ig = neumann_logdet_grad(params, X0, cfg, rng, want_input_grad=True)
-            acc += ig
+        # one call averaging M probe/truncation draws, each one sample of the estimator
+        cfg = EstimatorConfig(n_hutchinson=M)
+        _, ig = neumann_logdet_grad(params, X0, cfg, np.random.default_rng(3), want_input_grad=True)
         h = 1e-5
         fd = np.array(
             [
@@ -285,7 +282,7 @@ class TestNeumannGradient:
                 for e in np.eye(2)
             ]
         )
-        np.testing.assert_allclose(acc / M, fd, atol=0.01)
+        np.testing.assert_allclose(ig, fd, atol=0.01)
 
 
 class TestNaiveSeriesGradient:
@@ -529,14 +526,13 @@ class TestTrainingEstimators:
         checkpoint_constraint(params, 0.98)
         X = np.random.default_rng(8).standard_normal((2, 2))
         cfg = EstimatorConfig(n_fixed=5)
-        rng = np.random.default_rng(9)
-        acc = np.zeros(2)
         M = 40_000
-        for _ in range(M):
-            vals, _, _, _ = biased_value_and_grad_rows(params, X, cfg, rng)
-            acc += vals
+        # M draws at each point, as one batch of M copies of X
+        vals, _, _, _ = biased_value_and_grad_rows(
+            params, np.tile(X, (M, 1)), cfg, np.random.default_rng(9)
+        )
         expected = biased_logdet_exact_trace_rows(params, X, 5)
-        np.testing.assert_allclose(acc / M, expected, atol=0.05)
+        np.testing.assert_allclose(vals.reshape(M, 2).mean(axis=0), expected, atol=0.05)
 
 
 @given(st.integers(1, 12), st.floats(0.1, 0.9))

@@ -1,13 +1,16 @@
 """Training loop: gradients of the full objective, invariants, metrics."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from resflow import blocks
 from resflow.blocks import BlockParams, LayerParams, block_param_grad_of_output
+from resflow.checkpoint import load_checkpoint, save_checkpoint
 from resflow.config import TrainConfig
+from resflow.errors import ConfigError
 from resflow.flow import ActNorm, FlowModel, ResidualBlock, log_density_batch
 from resflow.logdet import (
     EstimatorConfig,
@@ -16,6 +19,7 @@ from resflow.logdet import (
     exact_logdet,
     roulette_value_and_neumann_grad_rows,
 )
+from resflow.norms import checkpoint_constraint
 from resflow.train import (
     ParamPacker,
     estimator_config_from,
@@ -23,6 +27,7 @@ from resflow.train import (
     fit,
     gaussian_fit_nll,
     init_train_state,
+    load_state_checkpoint,
     nats_to_bits,
     nll_and_grad,
     train_step,
@@ -405,6 +410,48 @@ class TestFit:
         fit(cfg, tmp_path / "b")
         for name in ("metrics.jsonl", "config.txt", "checkpoint_final.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestStateCheckpoint:
+    @pytest.mark.parametrize("steps", [3, 0], ids=["polyak_average", "no_average"])
+    def test_loader_matches_inline_debias(self, tmp_path, steps):
+        # the evaluation model as built from the file key by key: the debiased
+        # shadow laid over the saved model, then every block certified
+        cfg = tiny_cfg(steps=steps)
+        fit(cfg, tmp_path)
+        path = tmp_path / "checkpoint_final.txt"
+        reference, meta, arrays = load_checkpoint(path)
+        count = int(meta["polyak.count"])
+        assert ("polyak.shadow" in arrays) == (count > 0) == (steps > 0)
+        if count > 0:
+            shadow = arrays["polyak.shadow"] / (1.0 - cfg.polyak_decay**count)
+            ParamPacker(reference).set_vector(reference, shadow)
+        for lay in reference.layers:
+            if isinstance(lay, ResidualBlock):
+                checkpoint_constraint(lay.params, cfg.lipschitz_coeff)
+        model, loaded_cfg = load_state_checkpoint(path)
+        assert loaded_cfg == cfg
+        save_checkpoint(tmp_path / "reference.txt", reference)
+        save_checkpoint(tmp_path / "loaded.txt", model)
+        assert (tmp_path / "loaded.txt").read_bytes() == (tmp_path / "reference.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "pattern, repl",
+        [
+            (r"^meta\.train\.polyak_decay = .*$", "meta.train.polyak_decay = 1.5"),
+            (r"^meta\.polyak\.count = .*$", "meta.polyak.count = -1"),
+            (r"^meta\.polyak\.count = .*$", "meta.polyak.count = x"),
+            (r"^(array\.polyak\.shadow = .*),[^,]*$", r"\1"),
+        ],
+        ids=["decay", "negative_count", "count_not_a_number", "short_shadow"],
+    )
+    def test_bad_metadata_is_config_error(self, tmp_path, pattern, repl):
+        fit(tiny_cfg(steps=2), tmp_path)
+        text, n = re.subn(pattern, repl, (tmp_path / "checkpoint_final.txt").read_text(), flags=re.M)
+        assert n == 1
+        (tmp_path / "bad.txt").write_text(text)
+        with pytest.raises(ConfigError, match="bad.txt"):
+            load_state_checkpoint(tmp_path / "bad.txt")
 
 
 def flat_step_outputs(state, loss, grads, aux):

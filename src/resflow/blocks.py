@@ -24,6 +24,14 @@ short and fixed-shape, and writing it out makes the retained-state
 accounting of the gradient estimators auditable.  All functions accept a
 single point ``(d,)`` or a batch ``(n, d)`` and operate in float64.
 
+Parameter order: parameters and gradients share one flat order, written
+once in ``_views``: per layer the weight (row-major), the bias, then
+``raw_beta`` on every layer but the last.  :func:`param_vector` and
+:func:`set_param_vector` copy a block's parameters out and in.  A
+:class:`BlockGrads` is such a vector, ``vec``, with per-layer views into
+it that the reverse pass writes through; the per-sample gradients are
+``(n, P)`` rows written the same way.
+
 Arithmetic: the kernels never divide an activation by 1.1.  Each layer
 that reads an activation multiplies a copy of its weight divided by 1.1
 instead, made once per derivation or kernel call, so a hidden layer hands
@@ -67,6 +75,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,94 +184,85 @@ class BlockParams:
         return BlockParams(layers=[lay.copy() for lay in self.layers])
 
 
-@dataclass
-class LayerGrads:
-    weight: np.ndarray
-    bias: np.ndarray
-    raw_beta: float
-
-
-@dataclass
-class BlockGrads:
-    """Parameter gradient with the same structure as :class:`BlockParams`."""
-
-    layers: list[LayerGrads]
-
-    @staticmethod
-    def zeros_like(params: BlockParams) -> "BlockGrads":
-        return BlockGrads(
-            layers=[
-                LayerGrads(
-                    weight=np.zeros_like(lay.weight),
-                    bias=np.zeros_like(lay.bias),
-                    raw_beta=0.0,
-                )
-                for lay in params.layers
-            ]
-        )
-
-    def add_(self, other: "BlockGrads", scale: float = 1.0) -> "BlockGrads":
-        for a, b in zip(self.layers, other.layers):
-            a.weight += scale * b.weight
-            a.bias += scale * b.bias
-            a.raw_beta += scale * b.raw_beta
-        return self
-
-    def scale_(self, scale: float) -> "BlockGrads":
-        for a in self.layers:
-            a.weight *= scale
-            a.bias *= scale
-            a.raw_beta *= scale
-        return self
-
-
-# -- parameter vector utilities (used by the optimizer and FD oracles) -----
+# -- the flat parameter order (the optimizer, gradients and FD oracles) -----
 
 
 def param_count(params: BlockParams) -> int:
-    total = 0
+    return sum(lay.weight.size + lay.bias.size + (lay.raw_beta is not None) for lay in params.layers)
+
+
+class LayerGrads(NamedTuple):
+    """One layer's ``weight``, ``bias`` and ``raw_beta`` (None on the last
+    layer) as views into a flat vector: written in place, never rebound."""
+
+    weight: np.ndarray
+    bias: np.ndarray
+    raw_beta: np.ndarray | None
+
+
+def _views(params: BlockParams, vec: np.ndarray) -> list[LayerGrads]:
+    """Each layer's ``(weight, bias, raw_beta)`` in the flat order, as views into
+    the last axis of ``vec``: shaped like the parameters (``raw_beta`` 0-d,
+    None on the last layer) for a 1-D ``vec``, ``n`` of each for an ``(n, P)``
+    matrix.  A last axis that is not ``param_count`` long is a ``ShapeError``."""
+    if vec.shape[-1] != param_count(params):
+        raise ShapeError(f"parameter vector has {vec.shape[-1]} values, the block {param_count(params)}")
+    lead, views, pos = vec.shape[:-1], [], 0
     for lay in params.layers:
-        total += lay.weight.size + lay.bias.size
+        weight = vec[..., pos : pos + lay.weight.size].reshape(*lead, *lay.weight.shape)
+        pos += lay.weight.size
+        bias = vec[..., pos : pos + lay.bias.size]
+        pos += lay.bias.size
+        raw_beta = None
         if lay.raw_beta is not None:
-            total += 1
-    return total
+            raw_beta = vec[..., pos]
+            pos += 1
+        views.append(LayerGrads(weight, bias, raw_beta))
+    return views
 
 
 def param_vector(params: BlockParams) -> np.ndarray:
-    parts = []
-    for lay in params.layers:
-        parts.append(lay.weight.ravel())
-        parts.append(lay.bias)
-        if lay.raw_beta is not None:
-            parts.append(np.array([lay.raw_beta]))
-    return np.concatenate(parts)
+    vec = np.empty(param_count(params))
+    for lay, (weight, bias, raw_beta) in zip(params.layers, _views(params, vec)):
+        weight[...], bias[...] = lay.weight, lay.bias
+        if raw_beta is not None:
+            raw_beta[...] = lay.raw_beta
+    return vec
 
 
 def set_param_vector(params: BlockParams, vec: np.ndarray) -> None:
-    pos = 0
-    for lay in params.layers:
-        n = lay.weight.size
-        lay.weight[...] = vec[pos : pos + n].reshape(lay.weight.shape)
-        pos += n
-        n = lay.bias.size
-        lay.bias[...] = vec[pos : pos + n]
-        pos += n
-        if lay.raw_beta is not None:
-            lay.raw_beta = float(vec[pos])
-            pos += 1
-    if pos != vec.size:
-        raise ShapeError("parameter vector length does not match block")
+    for lay, (weight, bias, raw_beta) in zip(params.layers, _views(params, vec)):
+        lay.weight[...], lay.bias[...] = weight, bias
+        if raw_beta is not None:
+            lay.raw_beta = float(raw_beta)
+
+
+class BlockGrads:
+    """A block's parameter gradient as one flat vector.
+
+    ``vec`` is in :func:`param_vector` order and starts at zero, and
+    ``layers[l]`` holds layer l's ``weight``, ``bias`` and ``raw_beta``
+    (a 0-d array, None on the last layer) as views into it, written in
+    place (``g.weight[...] = ...``).
+    """
+
+    def __init__(self, params: BlockParams):
+        # np.full, not np.zeros: calloc can hand back untouched pages for a
+        # vector this size, which every training step then faults in again
+        self.vec = np.full(param_count(params), 0.0)
+        self.layers = _views(params, self.vec)
+
+    def add_(self, other: "BlockGrads", scale: float = 1.0) -> "BlockGrads":
+        self.vec += scale * other.vec
+        return self
+
+    def scale_(self, scale: float) -> "BlockGrads":
+        self.vec *= scale
+        return self
 
 
 def grads_vector(grads: BlockGrads) -> np.ndarray:
-    parts = []
-    last = len(grads.layers) - 1
-    for l, lay in enumerate(grads.layers):
-        parts.append(lay.weight.ravel())
-        parts.append(lay.bias)
-        if l != last:
-            parts.append(np.array([lay.raw_beta]))
-    return np.concatenate(parts)
+    return grads.vec
 
 
 # -- forward and cache ------------------------------------------------------
@@ -684,26 +684,24 @@ def block_param_grad(
     """
     cache, (u, w, v) = _probe_rows(params, x, cache, u, w, v)
     n = (u if u is not None else w).shape[0]
-    layers, xbar, jvp = [None] * len(params.layers), None, None
+    grads, xbar, jvp = BlockGrads(params), None, None
     for l, zbar, inp, pi, tau, dbeta in _reverse(cache, u, w, v, per_row=False):
-        lay = params.layers[l]
-        if zbar is None:
-            weight, bias = np.zeros_like(lay.weight), np.zeros_like(lay.bias)
-        else:
-            weight, bias = zbar.T @ _rows(inp, n), zbar.sum(axis=0)
+        weight, bias, raw_beta = grads.layers[l]
+        if zbar is not None:
+            np.matmul(zbar.T, _rows(inp, n), out=weight)
+            np.sum(zbar, axis=0, out=bias)
         if pi is not None:
             weight += pi.T @ tau
         if l > 0:
             weight /= LIPSWISH_SCALE
-        if return_jvp and l == len(layers) - 1:
+        if return_jvp and l == len(grads.layers) - 1:
             jvp = tau @ cache.weights[l].T
-        raw_beta = 0.0 if dbeta is None else float(dbeta * beta_raw_chain(lay.raw_beta))
-        layers[l] = LayerGrads(weight=weight, bias=bias, raw_beta=raw_beta)
+        if dbeta is not None:
+            raw_beta[...] = dbeta * beta_raw_chain(params.layers[l].raw_beta)
         if l == 0 and zbar is not None:
             xbar = zbar @ cache.weights[0]
     if xbar is None:
         xbar = np.zeros((n, params.dim))
-    grads = BlockGrads(layers=layers)
     return (grads, xbar, jvp) if return_jvp else (grads, xbar)
 
 
@@ -769,14 +767,16 @@ def bilinear_param_grad_per_sample(
     """
     cache, (u, v) = _probe_rows(params, x, cache, u, v)
     n = u.shape[0]
-    cols = [None] * len(params.layers)
+    per_sample = np.zeros((n, param_count(params)))
+    views = _views(params, per_sample)
     for l, zbar, inp, pi, tau, dbeta in _reverse(cache, None, u, v, per_row=True):
-        w_g = pi[:, :, None] * tau[:, None, :]
+        weight, bias, raw_beta = views[l]
+        np.multiply(pi[:, :, None], tau[:, None, :], out=weight)
         if zbar is not None:
-            w_g += zbar[:, :, None] * _rows(inp, n)[:, None, :]
+            weight += zbar[:, :, None] * _rows(inp, n)[:, None, :]
+            bias[...] = zbar
         if l > 0:
-            w_g /= LIPSWISH_SCALE
-        cols[l] = [w_g.reshape(n, -1), np.zeros((n, w_g.shape[1])) if zbar is None else zbar.copy()]
+            weight /= LIPSWISH_SCALE
         if dbeta is not None:
-            cols[l].append((dbeta * beta_raw_chain(params.layers[l].raw_beta))[:, None])
-    return np.concatenate([c for layer in cols for c in layer], axis=1)
+            raw_beta[...] = dbeta * beta_raw_chain(params.layers[l].raw_beta)
+    return per_sample

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``train``, ``eval``, ``sample``, ``grid``, ``diagnose``.
-Global flags ``--config``, ``--seed``, ``--out-dir``, ``--threads``; any
-config key can be overridden as ``--key=value``.  The output directory
+Global flags ``--config``, ``--seed``, ``--out-dir``; any config key can
+be overridden as ``--key=value``.  ``diagnose`` alone takes ``--threads``,
+its Monte-Carlo worker threads (at least 1).  The output directory
 falls back to the ``RESFLOW_OUT_DIR`` environment variable.  Every
 command is deterministic given its inputs and seed, and all emitted
 files are byte-stable across reruns (progress chatter goes to stderr).
@@ -94,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out-dir", default=None, help="output directory (or $RESFLOW_OUT_DIR)")
-        p.add_argument("--threads", type=int, default=1, help="Monte-Carlo worker threads")
 
     p_train = sub.add_parser("train", help="train a model and write metrics/checkpoints")
     add_common(p_train)
@@ -139,8 +139,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--n-samples", type=int, default=50_000)
     p_diag.add_argument("--coeffs", default=",".join(str(c) for c in DIAGNOSE_COEFFS))
     p_diag.add_argument("--at", default="0.0,0.0", help="evaluation point x,y")
+    p_diag.add_argument("--threads", type=_positive_int, default=1, help="Monte-Carlo worker threads")
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def parse_overrides(extras: list[str]) -> dict[str, str]:

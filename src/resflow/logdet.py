@@ -179,7 +179,7 @@ def exact_logdet_grad(
     jac = block_dense_jacobian(params, xb, cache=cache)
     d = params.dim
     a_t = np.swapaxes(np.eye(d) + jac, 1, 2)
-    grads = BlockGrads.zeros_like(params)
+    grads = BlockGrads(params)
     input_grad = np.zeros_like(xb)
     for b in range(d):
         e = np.zeros((xb.shape[0], d))
@@ -303,7 +303,7 @@ def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None,
         backward.append(block_vjp(params, x, backward[-1], cache=cache, work=work))
     last = block_jvp(params, x, forward[-1], cache=cache, work=work)
     values = coefs @ np.stack([np.einsum("ij,ij->i", v, f) for f in forward[1:] + [last]])
-    grads = BlockGrads.zeros_like(params)
+    grads = BlockGrads(params)
     input_grad = np.zeros(v.shape)
     for m in range(n_terms):
         weighted = np.zeros_like(v)

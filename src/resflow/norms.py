@@ -212,8 +212,8 @@ def lipschitz_constraint_vjp(params: BlockParams, grads: BlockGrads) -> BlockGra
     weight's gradient is ``dL/dV = G / f - (<G, W> / ||V||) d||V||/dV``,
     where ``d||V||/dV`` is :func:`norm_gradient` (power-iteration vectors
     held fixed, as spectral normalization does).  Layers the constraint
-    left alone (``f = 1``) pass ``G`` through.  Overwrites the weight
-    gradients of ``grads`` and returns it.
+    left alone (``f = 1``) pass ``G`` through.  Writes the weight
+    gradients in place, in ``grads.vec``, and returns ``grads``.
     """
     for lay, g in zip(params.layers, grads.layers):
         f = lay.pi_scale
@@ -221,8 +221,10 @@ def lipschitz_constraint_vjp(params: BlockParams, grads: BlockGrads) -> BlockGra
             continue
         sigma = f * lay.pi_estimate
         # <G, W> as a numpy sum: a BLAS dot's summation order follows its thread split
-        inner = float(np.sum(g.weight * lay.weight))
-        g.weight = g.weight / f - (inner / sigma) * norm_gradient(lay)
+        weight = g.weight
+        inner = float(np.sum(weight * lay.weight))
+        weight /= f
+        weight -= (inner / sigma) * norm_gradient(lay)
     return grads
 
 

@@ -35,10 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from resflow.blocks import (
+    BlockGrads,
     block_forward_cache,
     block_param_grad_of_output,
     derive_cache,
-    grads_vector,
     param_count,
     param_vector,
     release_workspace,
@@ -115,10 +115,15 @@ def eval_estimator_config_from(cfg: TrainConfig) -> EstimatorConfig:
 class ParamPacker:
     """Maps the model's trainable arrays to one flat float64 vector.
 
-    Layout per layer, in model order: actnorm contributes (log_scale,
-    shift); a residual block contributes its block parameter vector
-    (weights, biases, activation parameters).  Cached power-iteration
-    vectors are state, not parameters, and are not packed.
+    Layout per layer, in model order: an actnorm contributes
+    ``[log_scale; shift]``, a residual block its ``blocks.param_vector``
+    (weights, biases, activation parameters), the order its
+    ``BlockGrads.vec`` shares.  :func:`nll_and_grad` lays each layer's
+    gradient out the same way, so :meth:`pack_grads` is one concatenation.
+    A training step copies through :meth:`pack_grads` and
+    :meth:`set_vector`; :meth:`get_vector` runs only at set-up.  Cached
+    power-iteration vectors are state, not parameters, and are not packed;
+    an empty model packs to an empty vector.
     """
 
     def __init__(self, model: FlowModel):
@@ -130,16 +135,12 @@ class ParamPacker:
         self.offsets = np.concatenate([[0], np.cumsum(self.sizes)]).astype(int)
 
     def get_vector(self, model: FlowModel) -> np.ndarray:
-        parts = []
-        for lay in model.layers:
-            if isinstance(lay, ActNorm):
-                parts.append(lay.log_scale)
-                parts.append(lay.shift)
-            else:
-                parts.append(param_vector(lay.params))
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        parts = [
+            np.concatenate([lay.log_scale, lay.shift]) if isinstance(lay, ActNorm)
+            else param_vector(lay.params)
+            for lay in model.layers
+        ]
+        return np.concatenate([np.zeros(0), *parts])
 
     def set_vector(self, model: FlowModel, vec: np.ndarray) -> None:
         d = model.dim
@@ -152,16 +153,8 @@ class ParamPacker:
                 set_param_vector(lay.params, chunk)
 
     def pack_grads(self, model: FlowModel, grads: list) -> np.ndarray:
-        parts = []
-        for lay, g in zip(model.layers, grads):
-            if isinstance(lay, ActNorm):
-                parts.append(g["log_scale"])
-                parts.append(g["shift"])
-            else:
-                parts.append(grads_vector(g))
-        if not parts:
-            return np.zeros(0)
-        return np.concatenate(parts)
+        parts = (g.vec if isinstance(g, BlockGrads) else g for g in grads)
+        return np.concatenate([np.zeros(0), *parts])
 
 
 # -- objective and gradient --------------------------------------------------
@@ -176,7 +169,8 @@ def nll_and_grad(
 ):
     """Mean NLL over the batch and its gradient in every parameter.
 
-    Returns (loss, per-layer gradient structures, aux dict).  ``mode`` is
+    Returns (loss, per-layer gradients, aux dict): an actnorm's is the flat
+    ``[log_scale; shift]``, a block's a ``BlockGrads``.  ``mode`` is
     ``exact``, ``unbiased`` or ``biased``; stochastic modes draw one
     (probe, truncation) pair per sample and block, shared between the
     recorded value and the gradient.
@@ -207,6 +201,7 @@ def nll_and_grad(
 
     # backward sweep; cotangent of sum_i NLL_i w.r.t. the layer output
     cot = z.copy()
+    inv_n = 1.0 / n
     logdet_sum = np.zeros(n)
     grads: list = [None] * len(model.layers)
     terms_mean = 0.0
@@ -217,11 +212,9 @@ def nll_and_grad(
         if isinstance(lay, ActNorm):
             scale = np.exp(lay.log_scale)
             g_log_scale = (cot * x_in).sum(axis=0) * scale
-            g_shift = cot.sum(axis=0)
             # log-det term of the objective: each sample adds -sum(log_scale)
-            g_log_scale = g_log_scale - n
+            grads[idx] = np.concatenate([g_log_scale - n, cot.sum(axis=0)]) * inv_n
             logdet_sum += lay.logdet
-            grads[idx] = {"log_scale": g_log_scale, "shift": g_shift}
             cot = cot * scale
             continue
 
@@ -233,7 +226,7 @@ def nll_and_grad(
             cot = cot + vjp
             values = exact_logdet(block, x_in)
             lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)
-            bg.add_(lg, scale=-1.0)
+            bg.add_(lg, scale=-1.0).scale_(inv_n)
         else:
             # the pathwise term rides the log-det's reverse pass: the
             # gradients of sum_i logdet_i - cot_i . g(x_i)
@@ -242,19 +235,13 @@ def nll_and_grad(
             )
             values, terms, bg, ig = estimator(block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot)
             terms_mean += float(terms.mean())
-            bg.scale_(-1.0)
+            # the batch mean of the negated sum
+            bg.scale_(-inv_n)
         logdet_sum += values
         cot = cot - ig
         grads[idx] = bg
 
     loss = float(np.mean(-base - logdet_sum))
-    inv_n = 1.0 / n
-    for idx, lay in enumerate(model.layers):
-        if isinstance(lay, ActNorm):
-            grads[idx]["log_scale"] *= inv_n
-            grads[idx]["shift"] *= inv_n
-        else:
-            grads[idx].scale_(inv_n)
     aux = {
         "train_nll_nats": loss,
         "mean_terms": terms_mean / n_blocks if (n_blocks and mode != "exact") else 0.0,

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resflow import blocks
 from resflow.blocks import (
+    BlockGrads,
     BlockParams,
     DerivedCache,
     LayerParams,
@@ -577,6 +579,51 @@ class TestParamVector:
         set_param_vector(clone, vec)
         np.testing.assert_array_equal(param_vector(clone), vec)
         assert vec.size == param_count(params)
+
+    def test_gradient_views_sit_at_the_parameter_offsets(self):
+        # a distinct ramp laid over the fields by hand; the reference is their
+        # concatenation in the documented order (weight, bias, raw_beta per
+        # layer), built without the layout code under test
+        params = make_block(seed=65, hidden=3)
+        pos = 1.0
+        for lay in params.layers:
+            lay.weight[...] = np.arange(pos, pos + lay.weight.size).reshape(lay.weight.shape)
+            pos += lay.weight.size
+            lay.bias[...] = np.arange(pos, pos + lay.bias.size)
+            pos += lay.bias.size
+            if lay.raw_beta is not None:
+                lay.raw_beta, pos = pos, pos + 1.0
+        ref = np.concatenate(
+            [
+                x
+                for lay in params.layers
+                for x in (lay.weight.ravel(), lay.bias, [] if lay.raw_beta is None else [lay.raw_beta])
+            ]
+        )
+        P = param_count(params)
+        np.testing.assert_array_equal(ref, np.arange(1.0, P + 1.0))
+        np.testing.assert_array_equal(param_vector(params), ref)
+        grads = BlockGrads(params)
+        for g, lay in zip(grads.layers, params.layers):
+            g.weight[...] = lay.weight
+            g.bias[...] = lay.bias
+            if lay.raw_beta is None:
+                assert g.raw_beta is None
+            else:
+                g.raw_beta[...] = lay.raw_beta
+        np.testing.assert_array_equal(grads_vector(grads), ref)
+        clone = params.copy()
+        set_param_vector(clone, np.zeros(P))
+        set_param_vector(clone, ref)
+        for got, want in zip(clone.layers, params.layers):
+            np.testing.assert_array_equal(got.weight, want.weight)
+            np.testing.assert_array_equal(got.bias, want.bias)
+            assert got.raw_beta == want.raw_beta
+        for short in (np.zeros(P - 1), np.zeros((4, P - 1))):
+            with pytest.raises(ShapeError):
+                blocks._views(params, short)
+        with pytest.raises(ShapeError):
+            set_param_vector(params, ref[:-1])
 
     def test_cache_reuse_consistency(self):
         params = make_block(seed=62)

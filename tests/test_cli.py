@@ -405,3 +405,11 @@ class TestDiagnose:
             assert code == 0
             outs[threads] = (out / "diagnose.csv").read_bytes()
         assert outs[1] == outs[2]
+
+    def test_threads_only_on_diagnose_and_at_least_one(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("train", "--threads", "2", "--out-dir", str(out), "--steps", "1") == 2
+        assert not out.exists()
+        out = tmp_path / "diag"
+        assert run_cli("diagnose", "--threads", "0", "--n-samples", "100", "--out-dir", str(out)) == 2
+        assert not out.exists()

@@ -282,7 +282,9 @@ class TestNeumannGradient:
                 for e in np.eye(2)
             ]
         )
-        np.testing.assert_allclose(ig, fd, atol=0.01)
+        # the gradient is about (6.3e-4, -1.8e-4) and the estimate's standard
+        # error at this M about (1.7e-5, 5e-6): the bound is four of the larger
+        np.testing.assert_allclose(ig, fd, rtol=0, atol=7e-5)
 
 
 class TestNaiveSeriesGradient:
@@ -531,8 +533,12 @@ class TestTrainingEstimators:
         vals, _, _, _ = biased_value_and_grad_rows(
             params, np.tile(X, (M, 1)), cfg, np.random.default_rng(9)
         )
+        vals = vals.reshape(M, 2)
         expected = biased_logdet_exact_trace_rows(params, X, 5)
-        np.testing.assert_allclose(vals.reshape(M, 2).mean(axis=0), expected, atol=0.05)
+        # the k = 2 term is -3e-3 at one point, against a standard error of
+        # about 5.5e-4 per point: bound the error in standard errors
+        se = vals.std(axis=0, ddof=1) / np.sqrt(M)
+        assert np.max(np.abs(vals.mean(axis=0) - expected) / se) < 4.0
 
 
 @given(st.integers(1, 12), st.floats(0.1, 0.9))

@@ -197,10 +197,7 @@ def two_call_unbiased_grads(model, X, est_cfg, rng, estimator=roulette_value_and
         lay, x_in = model.layers[idx], inputs[idx]
         if isinstance(lay, ActNorm):
             scale = np.exp(lay.log_scale)
-            grads[idx] = {
-                "log_scale": ((cot * x_in).sum(axis=0) * scale - n) / n,
-                "shift": cot.sum(axis=0) / n,
-            }
+            grads[idx] = np.concatenate([(cot * x_in).sum(axis=0) * scale - n, cot.sum(axis=0)]) / n
             cot = cot * scale
             continue
         bg, vjp = block_param_grad_of_output(lay.params, x_in, cot, return_vjp=True)

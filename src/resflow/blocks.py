@@ -45,30 +45,26 @@ series step reads; the reverse pass forms the activation ``z s``,
 one layer at a time, right before the layer that reads them.
 ``activations.lipswish*`` stay the reference the tests compare against.
 
-Work buffers: ``block_forward``, ``block_jvp`` and ``block_vjp`` take a
-keyword ``work``, a list from :func:`work_buffers` with at least the
-call's row count, and write every ``(rows, hidden)`` intermediate into
-its leading rows.  Their callers loop: the series loop in ``logdet``
-runs one chain per term and ``flow.inverse`` one forward per Picard
-step.  Fresh ``(rows, hidden)`` arrays there were handed back to the OS
-between steps and faulted in again by the next one, so each loop holds
-one set per call instead.  Without ``work`` a kernel makes its own set:
-one code path either way.  The ``d``-wide output is always a fresh
-array, so a step's output never aliases the next step's input.
-
-Workspace: a training step holds every block's forward cache from the
-forward sweep to that block's reverse pass, then does it all again the
-next step.  Given a ``slot``, :func:`block_forward_cache` keeps ``z`` and
-``s`` in that slot's buffers of a per-thread workspace, and
-:func:`derive_cache` writes the kernel weights and slopes of a slot
-cache into one derived set all slots share, so those exist for one block
-at a time.  Buffers are made on first use and replaced when a shape
-changes.  A slot cache is valid until the next forward into its slot, a
-derived set until the next derivation of a slot cache; nothing a kernel
-returns lives in the workspace.  Without a slot every array is fresh, as
-the value-only routes and tests use them.  The workspace stays
-allocated, every slot it ever held included, until
-:func:`release_workspace` (``train.fit`` calls it when it is done).
+Buffers: one pool per thread holds every buffer a kernel reuses.  The
+series loop in ``logdet`` runs one chain per term, ``flow.inverse`` one
+forward per Picard step and a training step every block's forward and
+reverse pass; fresh arrays there were handed back to the OS after each
+call and faulted in again by the next.  :func:`block_forward` and the
+JVP/VJP chains write their hidden-width products into the pool's two
+work buffers, and the forward cache its layer outputs ``z s``, which only
+the next product reads, into its scratch.  Given a ``slot``,
+:func:`block_forward_cache` keeps ``z`` and ``s`` in that slot's pool
+buffers, and :func:`derive_cache` writes the kernel weights and slopes of
+a slot cache into one derived set all slots share, so those exist for one
+block at a time.  A pool buffer is made on first use and grown when a
+call needs more, and a call takes a view of its leading elements, so
+blocks of any width share it.  A slot cache is valid until the next
+forward into its slot, a derived set until the next derivation of a slot
+cache; without a slot the cache's arrays are fresh.  No kernel output
+lives in the pool: every ``d``-wide output is a fresh array, so a step's
+output never aliases the next step's input.  The pool stays allocated,
+every buffer it ever grew included, until :func:`release_workspace`
+(``train.fit`` calls it when it is done).
 """
 
 from __future__ import annotations
@@ -84,19 +80,12 @@ from resflow.errors import GuardError, ShapeError
 
 DENSE_JACOBIAN_MAX_DIM = 16
 
-# (norm_in, norm_out) pairs the Lipschitz constraint can measure
-SUPPORTED_NORM_ORDERS = {(1.0, 1.0), (2.0, 2.0), (np.inf, np.inf)}
-
 
 @dataclass
 class LayerParams:
     """One linear layer plus the LipSwish that follows it.
 
     ``raw_beta`` is None on the final layer (no activation after it).
-    ``norm_in``/``norm_out`` are the vector-norm orders of the layer's
-    input and output spaces, a pair from ``SUPPORTED_NORM_ORDERS``; the
-    induced norm of ``weight`` for that pair (spectral for 2, max column /
-    row abs sum for 1 / inf) is what the Lipschitz constraint bounds.
     ``pi_u`` caches the spectral power-iteration vector between constraint
     applications, ``pi_estimate`` the last measured norm and
     ``pi_iters_used`` the steps it took; ``pi_scale`` is the factor
@@ -107,8 +96,6 @@ class LayerParams:
     weight: np.ndarray
     bias: np.ndarray
     raw_beta: float | None
-    norm_in: float = 2.0
-    norm_out: float = 2.0
     pi_u: np.ndarray | None = None
     pi_estimate: float | None = None
     pi_iters_used: int = 0
@@ -125,8 +112,6 @@ class LayerParams:
             weight=self.weight.copy(),
             bias=self.bias.copy(),
             raw_beta=self.raw_beta,
-            norm_in=self.norm_in,
-            norm_out=self.norm_out,
             pi_u=None if self.pi_u is None else self.pi_u.copy(),
             pi_estimate=self.pi_estimate,
             pi_iters_used=self.pi_iters_used,
@@ -136,9 +121,16 @@ class LayerParams:
 
 @dataclass
 class BlockParams:
-    """Ordered layers of one residual branch ``g``."""
+    """Ordered layers of one residual branch ``g``.
+
+    ``norm`` is the vector-norm order ``p`` (1, 2 or inf) of every layer's
+    input and output space; each weight's induced ``p``-norm (spectral for
+    2, max column / row abs sum for 1 / inf) is what the Lipschitz
+    constraint bounds.
+    """
 
     layers: list[LayerParams]
+    norm: float = 2.0
 
     def __post_init__(self) -> None:
         self.validate()
@@ -151,25 +143,18 @@ class BlockParams:
         layers = self.layers
         if not layers:
             raise ShapeError("a block needs at least one layer")
+        if self.norm not in (1.0, 2.0, np.inf):
+            raise ShapeError(f"unsupported norm orders: p = {self.norm!r} is not 1, 2 or inf")
         for i, lay in enumerate(layers):
             if lay.weight.ndim != 2 or lay.bias.shape != (lay.weight.shape[0],):
                 raise ShapeError(f"layer {i}: weight/bias shapes do not agree")
             if not np.all(np.isfinite(lay.weight)) or not np.all(np.isfinite(lay.bias)):
                 raise ShapeError(f"layer {i}: non-finite parameters")
-            if (lay.norm_in, lay.norm_out) not in SUPPORTED_NORM_ORDERS:
-                raise ShapeError(
-                    f"layer {i}: norm orders ({lay.norm_in}, {lay.norm_out}) are not "
-                    "one of (1, 1), (2, 2), (inf, inf)"
-                )
         for i in range(len(layers) - 1):
             if layers[i].weight.shape[0] != layers[i + 1].weight.shape[1]:
                 raise ShapeError(
                     f"layer {i} output dim {layers[i].weight.shape[0]} does not "
                     f"match layer {i + 1} input dim {layers[i + 1].weight.shape[1]}"
-                )
-            if layers[i].norm_out != layers[i + 1].norm_in:
-                raise ShapeError(
-                    f"norm orders do not chain between layers {i} and {i + 1}"
                 )
             if layers[i].raw_beta is None:
                 raise ShapeError(f"layer {i} is not the last layer but has no beta")
@@ -177,11 +162,9 @@ class BlockParams:
             raise ShapeError("last layer must not carry an activation parameter")
         if layers[0].weight.shape[1] != layers[-1].weight.shape[0]:
             raise ShapeError("block must map back to its input dimension")
-        if layers[0].norm_in != layers[-1].norm_out:
-            raise ShapeError("block must map back to its input normed space")
 
     def copy(self) -> "BlockParams":
-        return BlockParams(layers=[lay.copy() for lay in self.layers])
+        return BlockParams(layers=[lay.copy() for lay in self.layers], norm=self.norm)
 
 
 # -- the flat parameter order (the optimizer, gradients and FD oracles) -----
@@ -277,7 +260,7 @@ class BlockCache:
     ``betas[l]`` the positive activation parameters.  Everything else the
     kernels read is formed from these, one block at a time: the slopes by
     :func:`derive_cache`, the rest inside the reverse pass.  ``slot`` is the
-    workspace slot holding ``pre`` and ``act``, None for fresh arrays.
+    pool slot holding ``pre`` and ``act``, None for fresh arrays.
     """
 
     x: np.ndarray
@@ -323,41 +306,37 @@ def _as_batch(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
     return x, squeeze
 
 
-# The training step's workspace: each slot's kept (z, s), one derived set
-# shared by all slots, and the forward's scratch.  Fresh arrays of these
-# sizes were handed back to the OS after every step and faulted in again
-# by the next one.  One dict per thread, so threads never share a buffer.
+# The pool: each slot's kept (z, s), one derived set shared by all slots,
+# the forward's scratch and the chains' two work buffers.  One dict per
+# thread, so threads never share a buffer.
 _workspace = threading.local()
 
 
-def _buffer(shared: bool, key, shape: tuple[int, int]) -> np.ndarray:
-    """The workspace buffer ``key`` of ``shape`` when ``shared``, made on first
-    use and replaced when the shape changes; a fresh array otherwise."""
+def _buffer(shared: bool, key, n: int, width: int) -> np.ndarray:
+    """An ``(n, width)`` view of the leading elements of this thread's pool
+    buffer ``key`` when ``shared``, which is made on first use and grown when
+    too small; a fresh array otherwise."""
     if not shared:
-        return np.empty(shape)
+        return np.empty((n, width))
     buffers = _workspace.__dict__.setdefault("buffers", {})
     buf = buffers.get(key)
-    if buf is None or buf.shape != shape:
-        buf = buffers[key] = np.empty(shape)
-    return buf
+    if buf is None or buf.size < n * width:
+        buf = buffers[key] = np.empty(n * width)
+    return buf[: n * width].reshape(n, width)
 
 
 def release_workspace() -> None:
-    """Free this thread's workspace; the next slot forward makes it afresh."""
+    """Free this thread's pool; the next call that needs a buffer makes it afresh."""
     _workspace.__dict__.clear()
-
-
-def _hidden_width(params: BlockParams) -> int:
-    return max((lay.weight.shape[0] for lay in params.layers[:-1]), default=0)
 
 
 def _kernel_weights(params: BlockParams, key=None) -> list[np.ndarray]:
     """Each layer's weight as the kernels multiply it: the first layer's as it
-    is, each later one divided by 1.1; in workspace buffers ``(key, l)``
-    given a ``key``, fresh otherwise."""
+    is, each later one divided by 1.1; in pool buffers ``(key, l)`` given a
+    ``key``, fresh otherwise."""
     first, *rest = params.layers
     return [first.weight] + [
-        np.divide(lay.weight, LIPSWISH_SCALE, out=_buffer(key is not None, (key, l), lay.weight.shape))
+        np.divide(lay.weight, LIPSWISH_SCALE, out=_buffer(key is not None, (key, l), *lay.weight.shape))
         for l, lay in enumerate(rest, 1)
     ]
 
@@ -378,26 +357,25 @@ def block_forward_cache(
 ) -> tuple[np.ndarray, BlockCache]:
     """Evaluate g(x) and keep each hidden layer's ``z`` and ``s``.
 
-    Given a ``slot`` (any hashable; training uses the block's position),
-    ``z`` and ``s`` go into that slot's workspace buffers, and the
-    activations ``z s``, which only the next layer's product reads, and
-    the kernel weights into the workspace's scratch: the cache is then
-    valid until the next forward into the same slot.  Without one every
-    array is fresh.  ``g(x)`` is a fresh array either way, bit for bit
+    The activations ``z s``, which only the next layer's product reads, go
+    into the pool's scratch.  Given a ``slot`` (any hashable; training uses
+    the block's position), ``z`` and ``s`` go into that slot's pool buffers
+    and the kernel weights into the pool too: the cache is then valid
+    until the next forward into the same slot.  Without one they are
+    fresh.  ``g(x)`` is a fresh array either way, bit for bit
     :func:`block_forward`.
     """
     x, _ = _as_batch(params, x)
     n, shared = x.shape[0], slot is not None
     weights = _kernel_weights(params, "forward weight" if shared else None)
-    h_buf = _buffer(shared, "scratch", (n, _hidden_width(params)))
     h, pre, act, betas = x, [], [], []
     for l, lay in enumerate(params.layers[:-1]):
-        shape = (n, lay.weight.shape[0])
-        z = np.matmul(h, weights[l].T, out=_buffer(shared, (slot, "z", l), shape))
+        width = lay.weight.shape[0]
+        z = np.matmul(h, weights[l].T, out=_buffer(shared, (slot, "z", l), n, width))
         z += lay.bias
         beta = lay.beta
-        s = _logistic(z, beta, out=_buffer(shared, (slot, "s", l), shape))
-        h = np.multiply(z, s, out=_lead(h_buf, *shape))
+        s = _logistic(z, beta, out=_buffer(shared, (slot, "s", l), n, width))
+        h = np.multiply(z, s, out=_buffer(True, "scratch", n, width))
         pre.append(z)
         act.append(s)
         betas.append(beta)
@@ -413,17 +391,17 @@ def derive_cache(
     formed from ``(z, s)`` as ``(1 - s) z beta + 1``, times ``s``.
 
     ``slopes_only`` keeps the weights and slopes alone, all the JVP/VJP
-    chains read, so ``z`` and ``s`` may be freed.  The arrays of a
-    workspace cache go into the one derived set all slots share, valid
-    until the next derivation of a workspace cache; a fresh cache's are
-    fresh.  A :class:`DerivedCache` is returned as it is.
+    chains read, so ``z`` and ``s`` may be freed.  The arrays of a slot
+    cache go into the pool's one derived set all slots share, valid until
+    the next derivation of a slot cache; a fresh cache's are fresh.  A
+    :class:`DerivedCache` is returned as it is.
     """
     if isinstance(cache, DerivedCache):
         return cache
     shared = cache.slot is not None
     slopes = []
     for l, (z, s, beta) in enumerate(zip(cache.pre, cache.act, cache.betas)):
-        d1 = np.subtract(1.0, s, out=_buffer(shared, ("slope", l), z.shape))
+        d1 = np.subtract(1.0, s, out=_buffer(shared, ("slope", l), *z.shape))
         d1 *= z
         d1 *= beta
         d1 += 1.0
@@ -438,51 +416,20 @@ def derive_cache(
     )
 
 
-def work_buffers(
-    params: BlockParams | list[BlockParams], rows: int, count: int = 2
-) -> list[np.ndarray]:
-    """``count`` work buffers for the kernels' ``work`` keyword, for up to ``rows`` rows.
-
-    Fresh arrays that live as long as the caller's loop (the series terms
-    of one call, the Picard steps of one inverse), unlike the workspace
-    behind :func:`block_forward_cache`'s slots, which outlives every call
-    until :func:`release_workspace`.
-    Each is a ``(rows, width)`` array, ``width`` the widest hidden layer of
-    ``params`` (one block, or several that then share one set).  The
-    JVP/VJP chains alternate between two; :func:`block_forward` holds a
-    pre-activation in one and forms its logistic and activation in the
-    other.  Ask for no more than the kernel uses: an unused buffer still
-    grows the heap, and freeing it can push the heap top past the
-    allocator's trim threshold, so the next allocations fault again.
-    """
-    blocks = [params] if isinstance(params, BlockParams) else params
-    width = max((_hidden_width(b) for b in blocks), default=0)
-    return [np.empty((rows, width)) for _ in range(count)]
-
-
-def _lead(buf: np.ndarray, n: int, width: int) -> np.ndarray:
-    """The leading ``n * width`` elements of ``buf`` as an ``(n, width)`` array:
-    ``buf[:n]`` when ``width`` is the buffer's, and contiguous either way."""
-    return buf.reshape(-1)[: n * width].reshape(n, width)
-
-
-def block_forward(
-    params: BlockParams, x: np.ndarray, work: list[np.ndarray] | None = None
-) -> np.ndarray:
+def block_forward(params: BlockParams, x: np.ndarray) -> np.ndarray:
     """g(x); the residual add ``x + g(x)`` lives in the flow module.
 
-    ``work``: two buffers (``work_buffers(params, rows)``), one for the
-    pre-activation, one for its logistic and then the activation.
+    Each hidden layer's pre-activation goes into the pool's ``work 0``,
+    its logistic and then its activation into ``work 1``.
     """
     h, squeeze = _as_batch(params, x)
     n = h.shape[0]
-    z_buf, s_buf = (work_buffers(params, n) if work is None else work)[:2]
     weights = _kernel_weights(params)
     for lay, weight in zip(params.layers[:-1], weights):
         width = lay.weight.shape[0]
-        z = np.matmul(h, weight.T, out=_lead(z_buf, n, width))
+        z = np.matmul(h, weight.T, out=_buffer(True, "work 0", n, width))
         z += lay.bias
-        h = _logistic(z, lay.beta, out=_lead(s_buf, n, width))
+        h = _logistic(z, lay.beta, out=_buffer(True, "work 1", n, width))
         h *= z
     h = h @ weights[-1].T
     h += params.layers[-1].bias
@@ -499,58 +446,36 @@ def _cache_for(params: BlockParams, x: np.ndarray, cache: Cache, slopes_only=Fal
     return derive_cache(params, cache, slopes_only)
 
 
-def _chain(params: BlockParams, t: np.ndarray, mats, slopes, work) -> np.ndarray:
+def _chain(t: np.ndarray, mats, slopes) -> np.ndarray:
     """``t @ mats[0]``, times ``slopes[0]``, ``@ mats[1]``, ..., ``@ mats[-1]``.
 
-    The hidden-width products alternate between ``work[0]`` and
-    ``work[1]``; the last, ``d``-wide product is a fresh array, so a
-    chain's output never aliases the next chain's input.  A row meeting
-    a batch of slopes broadcasts to the batch.
+    The hidden-width products alternate between the pool's ``work 0`` and
+    ``work 1``; the last, ``d``-wide product is a fresh array, so a chain's
+    output never aliases the next chain's input.  A row meeting a batch of
+    slopes broadcasts to the batch.
     """
-    if slopes:
-        rows = max(t.shape[0], slopes[0].shape[0])
-        work = work_buffers(params, rows) if work is None else work
     for l, (mat, slope) in enumerate(zip(mats, slopes)):
-        buf, width = work[l % 2], mat.shape[1]
-        t = np.matmul(t, mat, out=_lead(buf, t.shape[0], width))
-        t = np.multiply(t, slope, out=_lead(buf, max(t.shape[0], slope.shape[0]), width))
+        key, width = f"work {l % 2}", mat.shape[1]
+        t = np.matmul(t, mat, out=_buffer(True, key, t.shape[0], width))
+        t = np.multiply(t, slope, out=_buffer(True, key, max(t.shape[0], slope.shape[0]), width))
     return t @ mats[-1]
 
 
-def block_jvp(
-    params: BlockParams,
-    x: np.ndarray,
-    v: np.ndarray,
-    cache: Cache = None,
-    work: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """J_g(x) v via the layer chain rule.
-
-    ``work``: two buffers (``work_buffers(params, rows)``) that the
-    hidden-width products alternate between.
-    """
+def block_jvp(params: BlockParams, x: np.ndarray, v: np.ndarray, cache: Cache = None) -> np.ndarray:
+    """J_g(x) v via the layer chain rule."""
     cache = _cache_for(params, x, cache, slopes_only=True)
     t, squeeze = _as_batch(params, np.asarray(v, dtype=np.float64))
-    t = _chain(params, t, [w.T for w in cache.weights], cache.slope, work)
+    t = _chain(t, [w.T for w in cache.weights], cache.slope)
     return t[0] if squeeze else t
 
 
-def block_vjp(
-    params: BlockParams,
-    x: np.ndarray,
-    u: np.ndarray,
-    cache: Cache = None,
-    work: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """J_g(x)^T u, i.e. the row vector u^T J_g(x) laid out as a vector.
-
-    ``work`` as for :func:`block_jvp`.
-    """
+def block_vjp(params: BlockParams, x: np.ndarray, u: np.ndarray, cache: Cache = None) -> np.ndarray:
+    """J_g(x)^T u, i.e. the row vector u^T J_g(x) laid out as a vector."""
     cache = _cache_for(params, x, cache, slopes_only=True)
     r, squeeze = np.asarray(u, dtype=np.float64), False
     if r.ndim == 1:
         r, squeeze = r[None, :], True
-    r = _chain(params, r, cache.weights[::-1], cache.slope[::-1], work)
+    r = _chain(r, cache.weights[::-1], cache.slope[::-1])
     return r[0] if squeeze else r
 
 
@@ -568,11 +493,10 @@ def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: Cache = None
     cache = _cache_for(params, xb, cache, slopes_only=True)
     n = xb.shape[0]
     jac = np.empty((n, d, d))
-    work = work_buffers(params, n)
     for j in range(d):
         e = np.zeros((n, d))
         e[:, j] = 1.0
-        jac[:, :, j] = block_jvp(params, xb, e, cache=cache, work=work)
+        jac[:, :, j] = block_jvp(params, xb, e, cache=cache)
     return jac[0] if squeeze else jac
 
 

@@ -65,10 +65,11 @@ def save_checkpoint(
         else:
             out.write(f"{p}.kind = block\n")
             out.write(f"{p}.n_sublayers = {len(lay.params.layers)}\n")
+            norm = repr(float(lay.params.norm))
             for j, sub in enumerate(lay.params.layers):
                 sp = f"{p}.sub.{j}"
-                out.write(f"{sp}.norm_in = {repr(float(sub.norm_in))}\n")
-                out.write(f"{sp}.norm_out = {repr(float(sub.norm_out))}\n")
+                out.write(f"{sp}.norm_in = {norm}\n")
+                out.write(f"{sp}.norm_out = {norm}\n")
                 out.write(f"{sp}.weight = {_fmt_matrix(sub.weight)}\n")
                 out.write(f"{sp}.bias = {_fmt_floats(sub.bias)}\n")
                 if sub.raw_beta is not None:
@@ -137,9 +138,10 @@ def _model_from_kv(kv: dict[str, str]) -> FlowModel:
                 )
             )
         elif kind == "block":
-            subs = []
+            subs, orders = [], set()
             for j in range(int(need(f"{p}.n_sublayers"))):
                 sp = f"{p}.sub.{j}"
+                orders |= {float(need(f"{sp}.norm_in")), float(need(f"{sp}.norm_out"))}
                 pi_u = kv.get(f"{sp}.pi_u")
                 pi_est = kv.get(f"{sp}.pi_estimate")
                 subs.append(
@@ -149,13 +151,14 @@ def _model_from_kv(kv: dict[str, str]) -> FlowModel:
                         raw_beta=(
                             float(kv[f"{sp}.raw_beta"]) if f"{sp}.raw_beta" in kv else None
                         ),
-                        norm_in=float(need(f"{sp}.norm_in")),
-                        norm_out=float(need(f"{sp}.norm_out")),
                         pi_u=None if pi_u is None else _parse_floats(pi_u),
                         pi_estimate=None if pi_est is None else float(pi_est),
                     )
                 )
-            layers.append(ResidualBlock(params=BlockParams(layers=subs)))
+            # the file keeps per-sublayer orders; a block measures all its layers in one
+            if len(orders) > 1:
+                raise ConfigError(f"checkpoint block {p}: sublayer norm orders differ: {sorted(orders)}")
+            layers.append(ResidualBlock(params=BlockParams(subs, *orders)))
         else:
             raise ConfigError(f"unknown layer kind {kind!r} in checkpoint")
     model = FlowModel(dim=dim, layers=layers)

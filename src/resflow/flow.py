@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from resflow.blocks import BlockParams, block_forward, work_buffers
+from resflow.blocks import BlockParams, block_forward
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
 from resflow.logdet import EstimatorConfig, exact_logdet, roulette_logdet_rows
 
@@ -281,27 +281,24 @@ def inverse(
     if h.shape[1] != model.dim:
         raise ShapeError(f"expected points of dim {model.dim}")
     residual_log: list[list[float]] = []
-    # one set of work buffers serves every Picard step of every block
-    work = work_buffers([b.params for b in model.blocks()], h.shape[0])
-    for lay in reversed(model.layers):
+    for pos, lay in reversed(list(enumerate(model.layers))):
         if isinstance(lay, ActNorm):
             h = lay.inverse(h)
             continue
-        target = h
-        x = target
+        target = x = h
         block_res: list[float] = []
-        converged = False
+        step = float("nan")
         for _ in range(max_iters):
-            x_next = target - block_forward(lay.params, x, work=work)
+            x_next = target - block_forward(lay.params, x)
             step = float(np.max(np.sqrt(np.sum((x_next - x) ** 2, axis=1))))
             block_res.append(step)
             x = x_next
             if step < tol:
-                converged = True
                 break
-        if not converged:
+        else:
             raise ContractivityError(
-                f"fixed-point inversion did not reach tol={tol} in {max_iters} iterations"
+                f"fixed-point inversion of layer {pos} did not reach tol={tol} in "
+                f"{max_iters} iterations; last update norm {step!r}"
             )
         residual_log.append(block_res)
         h = x

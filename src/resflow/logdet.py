@@ -41,7 +41,6 @@ from resflow.blocks import (
     block_jvp,
     block_vjp,
     derive_cache,
-    work_buffers,
 )
 from resflow.errors import ContractivityError, GuardError
 from resflow.instrument import RetainedList, StorageMeter
@@ -152,8 +151,8 @@ def biased_logdet_exact_trace_rows(params: BlockParams, X: np.ndarray, n_fixed: 
     """
     jac = block_dense_jacobian(params, np.atleast_2d(np.asarray(X, dtype=np.float64)))
     total, power = 0.0, jac
-    for c in _coefficients(n_fixed)[0]:
-        total = total + c * np.trace(power, axis1=1, axis2=2)
+    for k in range(1, n_fixed + 1):
+        total = total + (-1.0) ** (k + 1) / k * np.trace(power, axis1=1, axis2=2)
         power = power @ jac
     return total
 
@@ -252,7 +251,7 @@ def _series(params, cache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
     ``(J^T)^(K_i-1) v_i``: its dot with ``J v_i``, which the reverse pass's
     tangent chain yields, is ``v_i^T J^K_i v_i``.  Rows run sorted by
     descending truncation, so the active rows are a prefix; every step
-    works in prefix slices of one set of work buffers.
+    works in prefix slices of the pool's buffers (``blocks``).
     """
     cache = derive_cache(params, cache, slopes_only=True)
     order = np.argsort(-K, kind="stable")
@@ -267,11 +266,11 @@ def _series(params, cache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
     else:
         step, steps, w = block_vjp, ks - 1, grad_coefs[0] * vs
         last = None if values is None else vs.copy()
-    cur, work = vs, work_buffers(params, v.shape[0])
+    cur = vs
     for k in range(1, int(steps.max(initial=0)) + 1):
         m = int(np.searchsorted(-steps, -k, side="right"))
         prefix = DerivedCache(weights=cache.weights, slope=[s[:m] for s in slopes])
-        cur = step(params, None, cur[:m], cache=prefix, work=work)
+        cur = step(params, None, cur[:m], cache=prefix)
         if values is not None:
             values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
         if w is not None:
@@ -297,11 +296,10 @@ def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None,
     backward = RetainedList(meter)  # (J^T)^m v
     forward.append(v)
     backward.append(v)
-    work = work_buffers(params, max(v.shape[0], len(cache.x)))
     for _ in range(1, n_terms):
-        forward.append(block_jvp(params, x, forward[-1], cache=cache, work=work))
-        backward.append(block_vjp(params, x, backward[-1], cache=cache, work=work))
-    last = block_jvp(params, x, forward[-1], cache=cache, work=work)
+        forward.append(block_jvp(params, x, forward[-1], cache=cache))
+        backward.append(block_vjp(params, x, backward[-1], cache=cache))
+    last = block_jvp(params, x, forward[-1], cache=cache)
     values = coefs @ np.stack([np.einsum("ij,ij->i", v, f) for f in forward[1:] + [last]])
     grads = BlockGrads(params)
     input_grad = np.zeros(v.shape)

@@ -3,9 +3,10 @@
 A residual block stays invertible when its branch is a contraction.  We
 bound the branch Jacobian through sub-multiplicativity: every weight
 matrix is rescaled so its induced operator norm is at most a coefficient
-below 1.  Each layer uses one of three norms, the same on its input and
-output space: the spectral norm (``p = 2``) or the exact max column /
-row abs sums (``p = 1`` / ``p = inf``).
+below 1.  A block measures every layer in one of three norms, its
+``BlockParams.norm``, the same on each input and output space: the
+spectral norm (``p = 2``) or the exact max column / row abs sums
+(``p = 1`` / ``p = inf``).
 
 The spectral norm is estimated by the classic power iteration of
 spectral normalization (Miyato et al.; i-ResNet and Residual Flows use it
@@ -28,8 +29,6 @@ import numpy as np
 
 from resflow.blocks import BlockGrads, BlockParams, LayerParams
 from resflow.errors import NormalizationError
-
-EXACT_ORDERS = {(1.0, 1.0), (np.inf, np.inf)}
 
 NORM_PRESETS = {"spectral": 2.0, "inf": np.inf, "one": 1.0}
 
@@ -112,11 +111,11 @@ def spectral_power_iteration(
 
 
 def induced_norm_for_layer(
-    lay: LayerParams, tol: float = 1e-3, max_iters: int = 200, max_iters_warm: int = 10
+    lay: LayerParams, p: float, tol: float = 1e-3, max_iters: int = 200, max_iters_warm: int = 10
 ) -> float:
-    """Measure one layer's induced norm, maintaining its cached iterate."""
-    if (lay.norm_in, lay.norm_out) in EXACT_ORDERS:
-        est = exact_induced_norm(lay.weight, lay.norm_in)
+    """Measure one layer's induced ``p``-norm, maintaining its cached iterate."""
+    if p != 2.0:
+        est = exact_induced_norm(lay.weight, p)
         lay.pi_estimate = est
         lay.pi_iters_used = 0
         return est
@@ -162,7 +161,7 @@ def apply_lipschitz_constraint(
     reported = []
     for lay in params.layers:
         est = induced_norm_for_layer(
-            lay, tol=tol, max_iters=max_iters, max_iters_warm=max_iters_warm
+            lay, params.norm, tol=tol, max_iters=max_iters, max_iters_warm=max_iters_warm
         )
         lay.pi_scale = 1.0
         if est == 0.0:
@@ -182,8 +181,8 @@ def apply_lipschitz_constraint(
     return reported
 
 
-def norm_gradient(lay: LayerParams) -> np.ndarray:
-    """Gradient of the layer's induced norm at its current weight.
+def norm_gradient(lay: LayerParams, p: float) -> np.ndarray:
+    """Gradient of the layer's induced ``p``-norm at its current weight.
 
     Spectral: ``u v^T`` with ``v`` the cached power-iteration vector and
     ``u = W v / ||W v||``.  ``inf`` / ``1``: the sign pattern of the row /
@@ -191,12 +190,11 @@ def norm_gradient(lay: LayerParams) -> np.ndarray:
     column is not unique).  All three are invariant to rescaling ``W``.
     """
     W = lay.weight
-    orders = (lay.norm_in, lay.norm_out)
-    if orders == (2.0, 2.0):
+    if p == 2.0:
         Wv = W @ lay.pi_u
         return np.outer(Wv / np.linalg.norm(Wv), lay.pi_u)
     grad = np.zeros_like(W)
-    if orders == (np.inf, np.inf):
+    if p == np.inf:
         row = int(np.argmax(np.abs(W).sum(axis=1)))
         grad[row] = np.sign(W[row])
     else:
@@ -224,7 +222,7 @@ def lipschitz_constraint_vjp(params: BlockParams, grads: BlockGrads) -> BlockGra
         weight = g.weight
         inner = float(np.sum(weight * lay.weight))
         weight /= f
-        weight -= (inner / sigma) * norm_gradient(lay)
+        weight -= (inner / sigma) * norm_gradient(lay, params.norm)
     return grads
 
 
@@ -251,23 +249,16 @@ def checkpoint_constraint(params: BlockParams, coeff: float = 0.98) -> list[floa
     )
     bound = coeff * (1.0 + CERTIFY_TOL)
     for i, lay in enumerate(params.layers):
-        if lay.norm_in == 2.0:
+        if params.norm == 2.0:
             exact = float(np.linalg.norm(lay.weight, 2))
         else:
-            exact = exact_induced_norm(lay.weight, lay.norm_in)
+            exact = exact_induced_norm(lay.weight, params.norm)
         if exact > bound:
             raise NormalizationError(
                 f"layer {i}: exact induced norm {exact!r} exceeds the certified "
                 f"bound {bound!r} (coeff {coeff!r})"
             )
     return reported
-
-
-def norm_orders_from_preset(name: str, n_layers: int) -> list[tuple[float, float]]:
-    if name not in NORM_PRESETS:
-        raise ValueError(f"unknown norm preset {name!r}; options: {sorted(NORM_PRESETS)}")
-    p = NORM_PRESETS[name]
-    return [(p, p)] * n_layers
 
 
 def init_block_params(
@@ -295,15 +286,16 @@ def init_block_params(
     """
     from resflow.activations import raw_from_beta
 
-    orders = norm_orders_from_preset(norm_preset, n_layers)
+    if norm_preset not in NORM_PRESETS:
+        raise ValueError(f"unknown norm preset {norm_preset!r}; options: {sorted(NORM_PRESETS)}")
+    p = NORM_PRESETS[norm_preset]
     dims = [dim] + [hidden] * (n_layers - 1) + [dim]
     layers = []
     target = init_norm_fraction * coeff
     for l in range(n_layers):
         W = rng.uniform(-1.0, 1.0, size=(dims[l + 1], dims[l]))
-        p_in, p_out = orders[l]
-        if (p_in, p_out) in EXACT_ORDERS:
-            norm = exact_induced_norm(W, p_in)
+        if p != 2.0:
+            norm = exact_induced_norm(W, p)
         else:
             norm, _, _ = spectral_power_iteration(W, tol=1e-12, max_iters=2000)
         W *= target / norm
@@ -316,11 +308,9 @@ def init_block_params(
                 weight=W,
                 bias=bias,
                 raw_beta=raw_from_beta(beta_init) if l < n_layers - 1 else None,
-                norm_in=p_in,
-                norm_out=p_out,
             )
         )
-    return BlockParams(layers=layers)
+    return BlockParams(layers=layers, norm=p)
 
 
 def empirical_lipschitz(
@@ -329,7 +319,7 @@ def empirical_lipschitz(
     """Largest observed ratio ||g(x)-g(y)||_p / ||x-y||_p over random pairs."""
     from resflow.blocks import block_forward
 
-    p = params.layers[0].norm_in
+    p = params.norm
     d = params.dim
     x = rng.standard_normal((n_pairs, d)) * scale
     y = x + rng.standard_normal((n_pairs, d)) * rng.uniform(1e-3, 1.0, size=(n_pairs, 1))

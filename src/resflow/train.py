@@ -183,7 +183,7 @@ def nll_and_grad(
         raise ValueError(f"mode {mode!r} needs an estimator config and rng")
 
     # forward, keeping per-layer inputs and block caches; each block's (z, s)
-    # stay in its own workspace slot, reused from step to step
+    # stay in its own pool slot, reused from step to step
     inputs: list[np.ndarray] = []
     caches: list = []
     h = X

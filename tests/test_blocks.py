@@ -28,7 +28,6 @@ from resflow.blocks import (
     param_vector,
     release_workspace,
     set_param_vector,
-    work_buffers,
 )
 from resflow.activations import (
     LIPSWISH_SCALE,
@@ -350,20 +349,36 @@ def assert_bits_equal(a, b):
     np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def pool_buffers():
+    """Every buffer in this thread's pool."""
+    return list(blocks._workspace.__dict__.get("buffers", {}).values())
+
+
 class TestWorkBuffers:
-    """Kernels given work buffers equal the fresh-allocation calls bit for bit."""
+    """Kernels on a grown, NaN-filled pool equal the same calls on a fresh
+    pool bit for bit."""
 
     @pytest.fixture(autouse=True)
     def _release(self):
+        release_workspace()
         yield
-        release_workspace()  # the test slots would outlive the test otherwise
+        release_workspace()  # the test's pool would outlive the test otherwise
 
     @staticmethod
-    def dirty_work(params, rows):
-        work = work_buffers(params, rows, 3)
-        for buf in work:
-            buf.fill(np.nan)  # a kernel reading stale buffer rows would show
-        return work
+    def on_dirty_pool(call):
+        """``call()`` on a fresh pool, then again once the pool has grown past
+        the call and been filled with NaN: both answers agree bit for bit,
+        and the second shares memory with no pool buffer.  Returns it."""
+        release_workspace()
+        fresh = call()
+        for key in ("work 0", "work 1", "scratch"):
+            blocks._buffer(True, key, 20, 32)
+        for buf in pool_buffers():
+            buf.fill(np.nan)  # a kernel reading stale buffer elements would show
+        pooled = call()
+        assert_bits_equal(pooled, fresh)
+        assert not any(np.shares_memory(pooled, buf) for buf in pool_buffers())
+        return pooled
 
     @pytest.mark.parametrize("case", ["1-layer", "2-layer", "3-layer", "uneven"])
     def test_chains_match_fresh_allocation(self, case):
@@ -375,28 +390,20 @@ class TestWorkBuffers:
         X, V = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
         _, cache = block_forward_cache(params, X)
         derived = derive_cache(params, cache, slopes_only=True)
-        work = self.dirty_work(params, 20)
         for m in (12, 5, 1):  # prefix slices of the cache, as the series loop takes them
             prefix = DerivedCache(weights=derived.weights, slope=[s[:m] for s in derived.slope])
             for kernel in (block_jvp, block_vjp):
-                fresh = kernel(params, None, V[:m], cache=prefix)
-                buffered = kernel(params, None, V[:m], cache=prefix, work=work)
-                assert_bits_equal(buffered, fresh)
-                assert not np.shares_memory(buffered, V)
-                assert not any(np.shares_memory(buffered, buf) for buf in work)
+                out = self.on_dirty_pool(lambda: kernel(params, None, V[:m], cache=prefix))
+                assert not np.shares_memory(out, V)
         # a one-point cache broadcast against many rows, and one row against a batch
         _, one = block_forward_cache(params, X[:1])
         for kernel in (block_jvp, block_vjp):
-            assert_bits_equal(
-                kernel(params, None, V, cache=one, work=work), kernel(params, None, V, cache=one)
-            )
-            assert_bits_equal(
-                kernel(params, X, V[0], cache=cache, work=work), kernel(params, X, V[0], cache=cache)
-            )
+            self.on_dirty_pool(lambda: kernel(params, None, V, cache=one))
+            self.on_dirty_pool(lambda: kernel(params, X, V[0], cache=cache))
         # the last call's answer does not change when the buffers are reused
-        first = block_jvp(params, X, V, cache=cache, work=work)
+        first = block_jvp(params, X, V, cache=cache)
         kept = first.copy()
-        block_vjp(params, X, V[::-1], cache=cache, work=work)
+        block_vjp(params, X, V[::-1], cache=cache)
         assert_bits_equal(first, kept)
 
     @pytest.mark.parametrize("case", ["1-layer", "2-layer", "3-layer", "uneven"])
@@ -406,14 +413,13 @@ class TestWorkBuffers:
         else:
             params = make_block(seed=6, hidden=16, n_layers=int(case[0]))
         X = np.random.default_rng(7).standard_normal((12, 2)) * 3.0
-        work = self.dirty_work(params, 20)
         for m in (12, 5, 1):
-            buffered = block_forward(params, X[:m], work=work)
-            assert_bits_equal(buffered, block_forward(params, X[:m]))
-            assert not np.shares_memory(buffered, X)
-            assert not any(np.shares_memory(buffered, buf) for buf in work)
-        assert_bits_equal(block_forward(params, X, work=work), block_forward_cache(params, X)[0])
-        assert_bits_equal(block_forward(params, X[0], work=work), block_forward(params, X[0]))
+            out = self.on_dirty_pool(lambda: block_forward(params, X[:m]))
+            assert not np.shares_memory(out, X)
+            for slot in (None, "slot"):
+                self.on_dirty_pool(lambda: block_forward_cache(params, X[:m], slot=slot)[0])
+        assert_bits_equal(self.on_dirty_pool(lambda: block_forward(params, X)), block_forward_cache(params, X)[0])
+        self.on_dirty_pool(lambda: block_forward(params, X[0]))
 
     @pytest.mark.parametrize("case", ["1-layer", "3-layer", "uneven"])
     def test_slopes_only_cache_keeps_the_same_slopes(self, case):
@@ -483,11 +489,22 @@ class TestWorkBuffers:
 
     def test_one_set_serves_blocks_of_different_widths(self):
         narrow, wide = make_block(seed=8, hidden=4), uneven_block()
-        work = work_buffers([narrow, wide], 7, 3)
-        assert all(buf.shape == (7, 9) for buf in work)
-        X = np.random.default_rng(9).standard_normal((7, 2))
+        X, V = np.random.default_rng(9).standard_normal((2, 7, 2))
+
+        def calls(params):
+            return [block_forward(params, X), block_jvp(params, X, V), block_vjp(params, X, V)]
+
+        want = {}
         for params in (narrow, wide):
-            assert_bits_equal(block_forward(params, X, work=work), block_forward(params, X))
+            release_workspace()
+            want[id(params)] = calls(params)
+        n_buffers = len(pool_buffers())
+        for buf in pool_buffers():
+            buf.fill(np.nan)
+        for params in (narrow, wide, narrow):
+            for got, ref in zip(calls(params), want[id(params)]):
+                assert_bits_equal(got, ref)
+        assert len(pool_buffers()) == n_buffers  # the blocks share every buffer
 
 
 def reference_pass(params, X, U, W, V):

@@ -394,17 +394,24 @@ class TestDiagnose:
         assert code == 2
 
     def test_threads_do_not_change_output(self, tmp_path):
-        outs = {}
-        for threads in (1, 2):
-            out = tmp_path / f"t{threads}"
-            code = run_cli(
-                "diagnose", "--arch", "linear", "--seed", "2",
-                "--n-samples", "5000", "--threads", str(threads),
-                "--out-dir", str(out),
-            )
-            assert code == 0
-            outs[threads] = (out / "diagnose.csv").read_bytes()
-        assert outs[1] == outs[2]
+        cases = {
+            # one chunk of a block with no hidden layer
+            "linear": ["--arch", "linear", "--n-samples", "5000"],
+            # three chunks of an MLP block's series: each worker thread runs
+            # the pooled kernels, in its own pool
+            "mlp": ["--arch", "mlp", "--coeffs", "0.9", "--n-samples", "30000"],
+        }
+        for name, args in cases.items():
+            outs = {}
+            for threads in (1, 2):
+                out = tmp_path / f"{name}{threads}"
+                code = run_cli(
+                    "diagnose", *args, "--seed", "2", "--threads", str(threads),
+                    "--out-dir", str(out),
+                )
+                assert code == 0
+                outs[threads] = (out / "diagnose.csv").read_bytes()
+            assert outs[1] == outs[2], name
 
     def test_threads_only_on_diagnose_and_at_least_one(self, tmp_path):
         out = tmp_path / "run"

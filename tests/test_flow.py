@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from resflow.blocks import block_forward
 from resflow.checkpoint import load_checkpoint, save_checkpoint
 from resflow.errors import ContractivityError, InitializationError, ShapeError
 from resflow.flow import (
@@ -146,8 +147,14 @@ class TestInverse:
 
     def test_nonconvergence_raises(self):
         model = random_model(seed=13, n_blocks=1)
-        with pytest.raises(ContractivityError):
+        pos, block = next((i, lay) for i, lay in enumerate(model.layers) if isinstance(lay, ResidualBlock))
+        # identity actnorms hand the block z = 0, so its one update is -g(0)
+        with pytest.raises(
+            ContractivityError, match=rf"layer {pos} did not reach tol=1e-10 in 1 iterations; last update norm"
+        ) as info:
             inverse(model, np.zeros(2), tol=1e-10, max_iters=1)
+        last = float(str(info.value).rsplit(" ", 1)[1])
+        assert last == pytest.approx(np.linalg.norm(block_forward(block.params, np.zeros(2))), rel=1e-12)
 
 
 class TestSample:

@@ -18,7 +18,6 @@ from resflow.norms import (
     exact_induced_norm,
     init_block_params,
     lipschitz_constraint_vjp,
-    norm_orders_from_preset,
     spectral_power_iteration,
     vector_norm,
 )
@@ -188,18 +187,11 @@ class TestConstraint:
             assert exact_induced_norm(lay.weight, np.inf) <= 0.98 + 1e-15
             assert n <= 0.98 + 1e-15
 
-    def test_norm_chaining_violation_rejected(self):
-        params = init_block_params(np.random.default_rng(27), 2, hidden=4)
-        params.layers[1].norm_in = params.layers[1].norm_out = np.inf
-        with pytest.raises(ShapeError, match="do not chain"):
-            apply_lipschitz_constraint(params, 0.98)
-
     def test_unsupported_norm_orders_rejected(self):
-        # chained (3, 3) layers would otherwise be measured as spectral
+        # a block at p = 3 would otherwise be measured as spectral
         params = init_block_params(np.random.default_rng(27), 2, hidden=4)
-        for lay in params.layers:
-            lay.norm_in = lay.norm_out = 3.0
-        with pytest.raises(ShapeError, match="layer 0: norm orders"):
+        params.norm = 3.0
+        with pytest.raises(ShapeError, match="norm orders: p = 3.0"):
             apply_lipschitz_constraint(params, 0.98)
 
     @pytest.mark.parametrize("preset", ["spectral", "inf", "one"])
@@ -230,7 +222,7 @@ class TestConstraint:
                 if preset == "spectral":
                     exact = np.linalg.norm(lay.weight, 2)
                 else:
-                    exact = exact_induced_norm(lay.weight, lay.norm_in)
+                    exact = exact_induced_norm(lay.weight, params.norm)
                 assert exact <= 0.98 * (1 + CERTIFY_TOL)
 
     def test_zero_estimate_for_nonzero_matrix_is_an_error(self):
@@ -307,19 +299,18 @@ class TestConstraintGradient:
 
 class TestPresetsAndInit:
     def test_presets(self):
-        assert norm_orders_from_preset("spectral", 3) == [(2.0, 2.0)] * 3
-        assert norm_orders_from_preset("inf", 3) == [(np.inf, np.inf)] * 3
-        assert norm_orders_from_preset("one", 2) == [(1.0, 1.0)] * 2
+        for preset, p in (("spectral", 2.0), ("inf", np.inf), ("one", 1.0)):
+            assert init_block_params(np.random.default_rng(30), 2, hidden=4, norm_preset=preset).norm == p
         with pytest.raises(ValueError):
-            norm_orders_from_preset("fro", 3)
+            init_block_params(np.random.default_rng(30), 2, hidden=4, norm_preset="fro")
 
     def test_init_norm_fraction(self):
         for preset in ("spectral", "inf", "one"):
             params = init_block_params(
                 np.random.default_rng(31), 2, hidden=12, norm_preset=preset
             )
+            p = params.norm
             for lay in params.layers:
-                p = lay.norm_in
                 if p == 2.0:
                     n = np.linalg.svd(lay.weight, compute_uv=False)[0]
                 else:

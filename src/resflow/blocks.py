@@ -45,14 +45,18 @@ series step reads; the reverse pass forms the activation ``z s``,
 one layer at a time, right before the layer that reads them.
 ``activations.lipswish*`` stay the reference the tests compare against.
 
-Buffers: one pool per thread holds every buffer a kernel reuses.  The
-series loop in ``logdet`` runs one chain per term, ``flow.inverse`` one
-forward per Picard step and a training step every block's forward and
-reverse pass; fresh arrays there were handed back to the OS after each
-call and faulted in again by the next.  :func:`block_forward` and the
-JVP/VJP chains write their hidden-width products into the pool's two
-work buffers, and the forward cache its layer outputs ``z s``, which only
-the next product reads, into its scratch.  Given a ``slot``,
+Buffers: one pool per thread holds every buffer a kernel reuses: the
+calling thread's, and the series worker's (:func:`on_worker`), the one
+thread to which ``flow.log_density_batch`` hands every other block's
+log-det series.  The series loop in ``logdet`` runs one chain per term,
+``flow.inverse`` one forward per Picard step and a training step every
+block's forward and reverse pass; fresh arrays there were handed back to
+the OS after each call and faulted in again by the next.
+:func:`block_forward` and the JVP/VJP chains write their hidden-width
+products into the pool's two work buffers, and the forward cache its
+layer outputs ``z s``, which only the next product reads, into its
+scratch; a slopes-only forward keeps each layer's ``z`` and ``s`` in the
+work buffers until its slope is formed.  Given a ``slot``,
 :func:`block_forward_cache` keeps ``z`` and ``s`` in that slot's pool
 buffers, and :func:`derive_cache` writes the kernel weights and slopes of
 a slot cache into one derived set all slots share, so those exist for one
@@ -62,13 +66,15 @@ blocks of any width share it.  A slot cache is valid until the next
 forward into its slot, a derived set until the next derivation of a slot
 cache; without a slot the cache's arrays are fresh.  No kernel output
 lives in the pool: every ``d``-wide output is a fresh array, so a step's
-output never aliases the next step's input.  The pool stays allocated,
+output never aliases the next step's input.  A pool stays allocated,
 every buffer it ever grew included, until :func:`release_workspace`
-(``train.fit`` calls it when it is done).
+frees the caller's and the worker's (``train.fit`` calls it when it is
+done).
 """
 
 from __future__ import annotations
 
+import queue
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -283,7 +289,8 @@ class DerivedCache:
     forward cache's; the reverse pass forms ``z s``, ``sd1 z = z s (1 - s)``
     and the slope's t-derivative from them right before the layer that
     reads them.  The chains read ``weights`` and ``slope`` alone, all a
-    slopes-only derivation keeps.
+    slopes-only derivation keeps, and ``rows``: given it, row i of a chain
+    reads slope row ``rows[i]`` (see :func:`_chain`).
     """
 
     weights: list[np.ndarray] = field(default_factory=list)
@@ -292,6 +299,7 @@ class DerivedCache:
     x: np.ndarray | None = None
     pre: list[np.ndarray] = field(default_factory=list)
     act: list[np.ndarray] = field(default_factory=list)
+    rows: np.ndarray | None = None
 
 
 def _as_batch(params: BlockParams, x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -325,9 +333,71 @@ def _buffer(shared: bool, key, n: int, width: int) -> np.ndarray:
     return buf[: n * width].reshape(n, width)
 
 
-def release_workspace() -> None:
-    """Free this thread's pool; the next call that needs a buffer makes it afresh."""
+def _clear_pool() -> None:
     _workspace.__dict__.clear()
+
+
+def release_workspace() -> None:
+    """Free this thread's pool and the series worker's; the next call that
+    needs a buffer makes it afresh."""
+    _clear_pool()
+    if _worker is not None:
+        on_worker(_clear_pool).result()
+
+
+# -- the series worker: one thread, fed jobs through a queue -----------------
+
+
+class Job:
+    """A call queued for the series worker; :meth:`result` waits for it."""
+
+    def __init__(self, fn):
+        self._fn, self._done = fn, threading.Event()
+        self._out = self._exc = None
+
+    def _run(self) -> None:
+        try:
+            self._out = self._fn()
+        except BaseException as exc:  # raised again by result(), in the caller
+            self._exc = exc
+        finally:
+            self._fn = None  # drops what the call held as soon as it is done
+            self._done.set()
+
+    def result(self):
+        """What the call returned, once it has run; what it raised is raised here."""
+        self._done.wait()
+        if self._exc is not None:
+            raise self._exc
+        return self._out
+
+
+_jobs: queue.Queue = queue.Queue(maxsize=1)
+_worker: threading.Thread | None = None
+_worker_lock = threading.Lock()
+
+
+def _serve() -> None:
+    while True:
+        _jobs.get()._run()
+
+
+def on_worker(fn) -> Job:
+    """Run ``fn()`` on the series worker, a daemon thread started on first
+    use, with its own pool.  Jobs run one at a time in the order they were
+    queued; at most one waits, so this blocks while another is waiting.
+    Called from the worker itself, ``fn`` runs at once."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = threading.Thread(target=_serve, name="resflow series worker", daemon=True)
+            _worker.start()
+    job = Job(fn)
+    if threading.current_thread() is _worker:
+        job._run()
+    else:
+        _jobs.put(job)
+    return job
 
 
 def _kernel_weights(params: BlockParams, key=None) -> list[np.ndarray]:
@@ -352,9 +422,7 @@ def _logistic(z: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, e, out=e)
 
 
-def block_forward_cache(
-    params: BlockParams, x: np.ndarray, slot=None
-) -> tuple[np.ndarray, BlockCache]:
+def block_forward_cache(params: BlockParams, x: np.ndarray, slot=None, slopes_only: bool = False):
     """Evaluate g(x) and keep each hidden layer's ``z`` and ``s``.
 
     The activations ``z s``, which only the next layer's product reads, go
@@ -362,33 +430,55 @@ def block_forward_cache(
     the block's position), ``z`` and ``s`` go into that slot's pool buffers
     and the kernel weights into the pool too: the cache is then valid
     until the next forward into the same slot.  Without one they are
-    fresh.  ``g(x)`` is a fresh array either way, bit for bit
-    :func:`block_forward`.
+    fresh.  ``slopes_only`` returns, for the value routes, what
+    ``derive_cache(params, cache, slopes_only=True)`` would, bit for bit:
+    each layer's ``z`` and ``s`` live in the pool's two work buffers until
+    its slope is formed, and the kernel weights are made once.  ``g(x)`` is
+    a fresh array either way, bit for bit :func:`block_forward`.
     """
     x, _ = _as_batch(params, x)
     n, shared = x.shape[0], slot is not None
     weights = _kernel_weights(params, "forward weight" if shared else None)
-    h, pre, act, betas = x, [], [], []
+    h, pre, act, slopes, betas = x, [], [], [], []
     for l, lay in enumerate(params.layers[:-1]):
         width = lay.weight.shape[0]
-        z = np.matmul(h, weights[l].T, out=_buffer(shared, (slot, "z", l), n, width))
+        if slopes_only:
+            zbuf, sbuf = (_buffer(True, f"work {i}", n, width) for i in (0, 1))
+        else:
+            zbuf, sbuf = (_buffer(shared, (slot, key, l), n, width) for key in ("z", "s"))
+        z = np.matmul(h, weights[l].T, out=zbuf)
         z += lay.bias
         beta = lay.beta
-        s = _logistic(z, beta, out=_buffer(shared, (slot, "s", l), n, width))
+        s = _logistic(z, beta, out=sbuf)
+        betas.append(beta)
+        if slopes_only:
+            slopes.append(_slope(z, s, beta, out=np.empty((n, width))))
+            h = np.multiply(z, s, out=s)
+            continue
         h = np.multiply(z, s, out=_buffer(True, "scratch", n, width))
         pre.append(z)
         act.append(s)
-        betas.append(beta)
     g = h @ weights[-1].T
     g += params.layers[-1].bias
+    if slopes_only:
+        return g, DerivedCache(weights=weights, slope=slopes, betas=betas)
     return g, BlockCache(x=x, pre=pre, act=act, betas=betas, slot=slot)
+
+
+def _slope(z: np.ndarray, s: np.ndarray, beta: float, out: np.ndarray) -> np.ndarray:
+    """``s (1 + t (1 - s))``, t = beta z, into ``out``: ``(1 - s) z beta + 1``, times ``s``."""
+    d1 = np.subtract(1.0, s, out=out)
+    d1 *= z
+    d1 *= beta
+    d1 += 1.0
+    d1 *= s
+    return d1
 
 
 def derive_cache(
     params: BlockParams, cache: BlockCache | DerivedCache, slopes_only: bool = False
 ) -> DerivedCache:
-    """The kernel weights and each hidden layer's slope ``s (1 + t (1 - s))``,
-    formed from ``(z, s)`` as ``(1 - s) z beta + 1``, times ``s``.
+    """The kernel weights and each hidden layer's slope (:func:`_slope`).
 
     ``slopes_only`` keeps the weights and slopes alone, all the JVP/VJP
     chains read, so ``z`` and ``s`` may be freed.  The arrays of a slot
@@ -399,14 +489,10 @@ def derive_cache(
     if isinstance(cache, DerivedCache):
         return cache
     shared = cache.slot is not None
-    slopes = []
-    for l, (z, s, beta) in enumerate(zip(cache.pre, cache.act, cache.betas)):
-        d1 = np.subtract(1.0, s, out=_buffer(shared, ("slope", l), *z.shape))
-        d1 *= z
-        d1 *= beta
-        d1 += 1.0
-        d1 *= s
-        slopes.append(d1)
+    slopes = [
+        _slope(z, s, beta, out=_buffer(shared, ("slope", l), *z.shape))
+        for l, (z, s, beta) in enumerate(zip(cache.pre, cache.act, cache.betas))
+    ]
     weights = _kernel_weights(params, "weight" if shared else None)
     if slopes_only:
         return DerivedCache(weights=weights, slope=slopes, betas=cache.betas)
@@ -446,18 +532,28 @@ def _cache_for(params: BlockParams, x: np.ndarray, cache: Cache, slopes_only=Fal
     return derive_cache(params, cache, slopes_only)
 
 
-def _chain(t: np.ndarray, mats, slopes) -> np.ndarray:
+def _chain(t: np.ndarray, mats, slopes, rows=None) -> np.ndarray:
     """``t @ mats[0]``, times ``slopes[0]``, ``@ mats[1]``, ..., ``@ mats[-1]``.
 
     The hidden-width products alternate between the pool's ``work 0`` and
     ``work 1``; the last, ``d``-wide product is a fresh array, so a chain's
-    output never aliases the next chain's input.  A row meeting a batch of
-    slopes broadcasts to the batch.
+    output never aliases the next chain's input.  Given ``rows``, row i of
+    ``t`` reads slope row ``rows[i]``, gathered into the other work buffer,
+    which only the product's input occupied.  Otherwise each slope row serves
+    ``len(t) // len(slope)`` consecutive rows of ``t``, and a single row of
+    ``t`` meets a batch of slopes by broadcasting.
     """
     for l, (mat, slope) in enumerate(zip(mats, slopes)):
         key, width = f"work {l % 2}", mat.shape[1]
         t = np.matmul(t, mat, out=_buffer(True, key, t.shape[0], width))
-        t = np.multiply(t, slope, out=_buffer(True, key, max(t.shape[0], slope.shape[0]), width))
+        if rows is not None:
+            idle = _buffer(True, f"work {(l + 1) % 2}", len(rows), width)
+            slope = np.take(slope, rows, axis=0, out=idle, mode="clip")
+        if t.shape[0] > slope.shape[0] > 1:
+            grouped = (slope.shape[0], -1, width)
+            np.multiply(t.reshape(grouped), slope[:, None], out=t.reshape(grouped))
+        else:
+            t = np.multiply(t, slope, out=_buffer(True, key, max(t.shape[0], slope.shape[0]), width))
     return t @ mats[-1]
 
 
@@ -465,7 +561,7 @@ def block_jvp(params: BlockParams, x: np.ndarray, v: np.ndarray, cache: Cache = 
     """J_g(x) v via the layer chain rule."""
     cache = _cache_for(params, x, cache, slopes_only=True)
     t, squeeze = _as_batch(params, np.asarray(v, dtype=np.float64))
-    t = _chain(t, [w.T for w in cache.weights], cache.slope)
+    t = _chain(t, [w.T for w in cache.weights], cache.slope, cache.rows)
     return t[0] if squeeze else t
 
 
@@ -475,7 +571,7 @@ def block_vjp(params: BlockParams, x: np.ndarray, u: np.ndarray, cache: Cache = 
     r, squeeze = np.asarray(u, dtype=np.float64), False
     if r.ndim == 1:
         r, squeeze = r[None, :], True
-    r = _chain(r, cache.weights[::-1], cache.slope[::-1])
+    r = _chain(r, cache.weights[::-1], cache.slope[::-1], cache.rows)
     return r[0] if squeeze else r
 
 

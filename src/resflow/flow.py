@@ -10,7 +10,14 @@ layers contribute the sum of their log scales.
 :func:`log_density_batch` is the one density route, for any number of
 rows (a single point is a one-row batch): it takes each block's
 log-determinant and output from ``logdet.exact_logdet`` or
-``roulette_logdet_rows``, whose forward already computes ``g``.
+``roulette_logdet_rows``, whose forward already computes ``g``.  In
+unbiased mode a block's series needs only its own draws and slopes once
+the forward has passed it, so the calling thread makes every block's
+draws, forward and slopes in layer order and hands every other block's
+series to the series worker (``blocks.on_worker``), one at a time, while
+it runs the others itself; the log-determinants are added in layer order
+once all have arrived, so the bytes are those of one thread.  Exact mode,
+:func:`inverse` and :func:`sample` start no thread.
 :func:`transform` applies ``f`` alone; :func:`inverse` is plain
 fixed-point iteration ``x <- z - g(x)``, which converges geometrically
 because every branch is a contraction, and :func:`sample` pulls base
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from resflow.blocks import BlockParams, block_forward
+from resflow.blocks import BlockParams, Job, block_forward, on_worker
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
 from resflow.logdet import EstimatorConfig, exact_logdet, roulette_logdet_rows
 
@@ -227,25 +234,38 @@ def log_density_batch(
     if mode == "unbiased" and (cfg is None or rng is None):
         raise ValueError("mode 'unbiased' needs an estimator config and rng")
     h = X
-    logdet = np.zeros(X.shape[0])
+    parts = []  # each layer's log-determinant, in layer order
     terms_total = 0.0
     n_blocks = 0
+    job = None  # the worker's latest
     for lay in model.layers:
         if isinstance(lay, ActNorm):
-            logdet += lay.logdet
+            parts.append(lay.logdet)
             h = lay.forward(h)
+            continue
+        # each route hands back the g(h) of its own forward
+        if mode == "exact":
+            vals, g = exact_logdet(lay.params, h, with_output=True)
         else:
-            n_blocks += 1
-            # each route hands back the g(h) of its own forward
-            if mode == "exact":
-                vals, g = exact_logdet(lay.params, h, with_output=True)
+            # the draws, forward and slopes here, in layer order; the series
+            # of every other block on the worker, the rest on this thread
+            series, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng, defer=True)
+            if n_blocks % 2:
+                vals = series()
             else:
-                vals, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
-                terms_total += float(terms.mean())
-            logdet += vals
-            g += h  # in place, as in ActNorm.inverse
-            h = g
+                if job is not None:
+                    job.result()  # one series on the worker at a time
+                vals = job = on_worker(series)
+            del series  # the block's slopes go once its series is done, not a block later
+            terms_total += float(terms.mean())
+        n_blocks += 1
+        parts.append(vals)
+        g += h  # in place, as in ActNorm.inverse
+        h = g
     logp = base_log_density(h)
+    logdet = np.zeros(X.shape[0])
+    for part in parts:  # in layer order, once the worker's have arrived
+        logdet += part.result() if isinstance(part, Job) else part
     logp += logdet
     mean_terms = terms_total / n_blocks if (n_blocks and mode != "exact") else 0.0
     return h, logp, mean_terms

@@ -12,11 +12,16 @@ bilinear form ``w^T J_g v`` has the unbiased log-det gradient; nothing
 differentiates through the accumulation, so retained storage does not
 grow with the truncation.  A training row stops after the K - 1 chain
 steps ``w`` needs and takes its last value term from the ``J_g v`` of the
-bilinear form's reverse pass.  :func:`_differentiated_series` differentiates
-every term and keeps both chains: storage linear in the truncation.
+bilinear form's reverse pass.  Every row takes the steps all rows take in
+its own order, reading its point's slopes as they are; only the rows that
+go on into the tail are sorted, and each tail step gathers the slopes of
+its active rows into an idle work buffer.  :func:`_differentiated_series`
+differentiates every term and keeps both chains: storage linear in the
+truncation.
 
-Entry points: unbiased values per row (``roulette_logdet_rows``) or at
-one point (``*_logdet_batch``); training value and gradient per row
+Entry points: unbiased values per row (``roulette_logdet_rows``, which
+can hand back its block's series as a call, for ``flow`` to run on the
+series worker) or at one point (``*_logdet_batch``); training value and gradient per row
 (``roulette_value_and_neumann_grad_rows``, ``biased_value_and_grad_rows``);
 single-point gradients (``neumann_logdet_grad``, ``neumann_grad_samples``,
 ``neumann_grad_exact_trace``, ``naive_series_grad``); and the dense
@@ -42,7 +47,7 @@ from resflow.blocks import (
     block_vjp,
     derive_cache,
 )
-from resflow.errors import ContractivityError, GuardError
+from resflow.errors import ContractivityError, GuardError, ShapeError
 from resflow.instrument import RetainedList, StorageMeter
 
 NAIVE_SERIES_MAX_TERMS = 20
@@ -107,9 +112,8 @@ def exact_logdet(params: BlockParams, x: np.ndarray, with_output: bool = False):
     returns the ``(n, d)`` block output ``g(x)`` of the forward the
     Jacobian was built on, bit for bit ``block_forward``.
     """
-    g, cache = block_forward_cache(params, x)
-    # the Jacobian's JVPs read slopes alone: z and s are freed before they run
-    cache = derive_cache(params, cache, slopes_only=True)
+    # the Jacobian's JVPs read slopes alone
+    g, cache = block_forward_cache(params, x, slopes_only=True)
     jac = block_dense_jacobian(params, x, cache=cache)
     eye = np.eye(params.dim)
     _, logabs = np.linalg.slogdet(eye + jac)
@@ -231,12 +235,12 @@ def _draw(rng, d: int, cfg: EstimatorConfig, rows: int, biased=False, force_n=No
     return v, K, _coefficients(int(K.max()), dist)
 
 
-def _series(params, cache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
+def _series(params, cache, v, K, val_coefs, grad_coefs=None):
     """The one loop over series terms: per-row values and Neumann cotangent.
 
-    Row i reads probe ``v[i]``, truncation ``K[i]`` and the point
-    ``point_of_row[i]`` of ``cache`` (row i without it; a one-point cache
-    is shared by every row).  Returns ``(values, w, last)``, each None
+    Row i reads probe ``v[i]``, truncation ``K[i]`` and point ``i // r`` of
+    ``cache``, whose points each serve ``r`` consecutive rows (a one-point
+    cache serves every row).  Returns ``(values, w, last)``, each None
     when not asked for.  Without ``grad_coefs`` the chain steps with
     ``block_jvp``, K_i steps for row i, and
 
@@ -249,36 +253,50 @@ def _series(params, cache, v, K, val_coefs, grad_coefs=None, point_of_row=None):
 
     ``values`` then leave out their last term, and ``last[i]`` is
     ``(J^T)^(K_i-1) v_i``: its dot with ``J v_i``, which the reverse pass's
-    tangent chain yields, is ``v_i^T J^K_i v_i``.  Rows run sorted by
-    descending truncation, so the active rows are a prefix; every step
-    works in prefix slices of the pool's buffers (``blocks``).
+    tangent chain yields, is ``v_i^T J^K_i v_i``.  Every row takes the
+    steps every row takes in its own order, each slope row serving its
+    point's ``r`` rows as it is.  The rows that go on run sorted by
+    descending truncation, so the active rows are a prefix, and each step
+    gathers the slope rows of its prefix into an idle work buffer
+    (``blocks._chain``); every step works in the pool's buffers.
     """
     cache = derive_cache(params, cache, slopes_only=True)
-    order = np.argsort(-K, kind="stable")
-    ks, vs = K[order], v[order]
-    # the chain reads slopes alone: gather them once in sorted order and
-    # slice prefixes, not whole caches; a one-point cache broadcasts as is
-    rows = order if point_of_row is None else point_of_row[order]
-    slopes = [s if len(s) == 1 else s[rows] for s in cache.slope]
+    points = len(cache.slope[0]) if cache.slope else 1
+    if len(v) % points:
+        raise ShapeError(f"{len(v)} probe rows do not divide among {points} cache points")
     values = None if val_coefs is None else np.zeros(v.shape[0])
     if grad_coefs is None:
-        step, steps, w, last = block_jvp, ks, None, None
+        step, steps, w, last = block_jvp, K, None, None
     else:
-        step, steps, w = block_vjp, ks - 1, grad_coefs[0] * vs
-        last = None if values is None else vs.copy()
-    cur = vs
-    for k in range(1, int(steps.max(initial=0)) + 1):
-        m = int(np.searchsorted(-steps, -k, side="right"))
-        prefix = DerivedCache(weights=cache.weights, slope=[s[:m] for s in slopes])
-        cur = step(params, None, cur[:m], cache=prefix)
+        step, steps, w = block_vjp, K - 1, grad_coefs[0] * v
+        last = None if values is None else v.copy()
+
+    def add(k, at, probes, cur):
         if values is not None:
-            values[:m] += val_coefs[k - 1] * np.einsum("ij,ij->i", vs[:m], cur)
+            values[at] += val_coefs[k - 1] * np.einsum("ij,ij->i", probes, cur)
         if w is not None:
-            w[:m] += grad_coefs[k] * cur
+            w[at] += grad_coefs[k] * cur
         if last is not None:
-            last[:m] = cur
-    rank = np.argsort(order)  # the sorted position of every row
-    return tuple(None if a is None else a[rank] for a in (values, w, last))
+            last[at] = cur
+
+    # the steps every row takes: rows in their own order, slopes as they are
+    lead = int(steps.min()) if len(steps) else 0
+    cur = v
+    for k in range(1, lead + 1):
+        cur = step(params, None, cur, cache=cache)
+        add(k, slice(None), v, cur)
+    # the rows that go on, by descending steps: the active ones are a prefix
+    order = np.argsort(-steps, kind="stable")
+    tail = order[: np.count_nonzero(steps > lead)]
+    vs, cur, ks = v[tail], cur[tail], steps[tail]
+    rows = None if points == 1 else tail // (len(v) // points)
+    for k in range(lead + 1, int(ks.max(initial=0)) + 1):
+        m = int(np.searchsorted(-ks, -k, side="right"))
+        prefix = DerivedCache(weights=cache.weights, slope=cache.slope,
+                              rows=None if rows is None else rows[:m])
+        cur = step(params, None, cur[:m], cache=prefix)
+        add(k, tail[:m], vs[:m], cur)
+    return values, w, last
 
 
 def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None, out_cot=None):
@@ -326,16 +344,20 @@ def _point_means(a: np.ndarray, n: int, nh: int) -> np.ndarray:
 # -- estimators --------------------------------------------------------------
 
 
-def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None):
+def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None, defer=False):
     """``n`` estimates, each the mean of ``n_hutchinson`` draws, at row j of
-    ``X`` or at its only row: (values, total series terms, ``g(X)``)."""
+    ``X`` or at its only row: (values, total series terms, ``g(X)``).  With
+    ``defer`` the values come as a call that runs the series: the draws,
+    the forward and the slopes are done, and the call reads nothing else."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     nh = cfg.n_hutchinson
     v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased, force_n)
-    g, cache = block_forward_cache(params, X)
-    cache = derive_cache(params, cache, slopes_only=True)  # frees z and s before the series
-    values, _, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(n * nh) // nh)
-    return _point_means(values, n, nh), K.reshape(n, nh).sum(axis=1), g
+    g, cache = block_forward_cache(params, X, slopes_only=True)  # the series reads slopes alone
+
+    def values():
+        return _point_means(_series(params, cache, v, K, coefs)[0], n, nh)
+
+    return (values if defer else values()), K.reshape(n, nh).sum(axis=1), g
 
 
 def roulette_logdet_rows(
@@ -343,11 +365,14 @@ def roulette_logdet_rows(
     X: np.ndarray,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
+    defer: bool = False,
 ):
     """One unbiased estimate per row of ``X``: (values, series terms per row,
     ``g(X)``), the last the block output of the forward the estimate was
-    built on, bit for bit ``block_forward``."""
-    return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)))
+    built on, bit for bit ``block_forward``.  With ``defer`` the values come
+    as a call that runs the block's series, which may run on any thread
+    (``flow.log_density_batch`` hands it to the series worker)."""
+    return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)), defer=defer)
 
 
 def roulette_logdet_batch(

@@ -434,6 +434,13 @@ class TestWorkBuffers:
             assert_bits_equal(a, b)
         assert lean.x is None and not (lean.pre or lean.act)
         assert_bits_equal(block_dense_jacobian(params, X), block_dense_jacobian(params, X, cache=full))
+        # the value routes' forward forms the same slopes, z and s passing through the work buffers
+        g, fused = block_forward_cache(params, X, slopes_only=True)
+        assert_bits_equal(self.on_dirty_pool(lambda: block_forward_cache(params, X, slopes_only=True)[0]), g)
+        assert_bits_equal(g, block_forward(params, X))
+        assert fused.betas == lean.betas and not (fused.pre or fused.act)
+        for a, b in zip(fused.slope + fused.weights, lean.slope + lean.weights):
+            assert_bits_equal(a, b)
 
     @pytest.mark.parametrize("slot", [None, "slot"], ids=["fresh", "workspace"])
     @pytest.mark.parametrize("rows", [1, 37])
@@ -486,6 +493,35 @@ class TestWorkBuffers:
         _, again = block_forward_cache(params, X, slot="a")
         assert not any(np.shares_memory(a, b) for a, b in zip(first.pre + first.act, again.pre + again.act))
         assert all(np.array_equal(a, b) for a, b in zip(first.pre + first.act, kept))
+
+    @pytest.mark.parametrize("points, r", [(7, 1), (7, 3), (1, 5)], ids=["r1", "r3", "one_point"])
+    def test_grouped_slopes_match_repeated_slopes(self, points, r):
+        """A cache of P points against P r probe rows: each slope row serves r
+        consecutive rows, as if it were repeated r times, and gathering
+        ``rows`` from it gives the same bits."""
+        params = make_block(seed=18, hidden=16)
+        rng = np.random.default_rng(19)
+        X, V = rng.standard_normal((points, 2)), rng.standard_normal((points * r, 2))
+        _, cache = block_forward_cache(params, X, slopes_only=True)
+        repeated = DerivedCache(weights=cache.weights, slope=[np.repeat(s, r, axis=0) for s in cache.slope])
+        gathered = DerivedCache(weights=cache.weights, slope=cache.slope, rows=np.arange(points * r) // r)
+        for kernel in (block_jvp, block_vjp):
+            want = kernel(params, None, V, cache=repeated)
+            assert_bits_equal(self.on_dirty_pool(lambda: kernel(params, None, V, cache=cache)), want)
+            assert_bits_equal(self.on_dirty_pool(lambda: kernel(params, None, V, cache=gathered)), want)
+
+    def test_release_frees_the_series_workers_pool_too(self):
+        params = make_block(seed=20, hidden=16)
+        X = np.random.default_rng(21).standard_normal((9, 2))
+
+        def worker_pool():
+            return blocks.on_worker(lambda: pool_buffers()).result()
+
+        blocks.on_worker(lambda: block_jvp(params, X, X)).result()
+        block_jvp(params, X, X)
+        assert worker_pool() and pool_buffers()
+        release_workspace()
+        assert worker_pool() == [] and pool_buffers() == []
 
     def test_one_set_serves_blocks_of_different_widths(self):
         narrow, wide = make_block(seed=8, hidden=4), uneven_block()

@@ -277,3 +277,136 @@ class TestCheckpoint:
 
         with pytest.raises(ConfigError):
             load_checkpoint(tmp_path / "nope.txt")
+
+
+def sequential_density(model, X, cfg, rng):
+    """Reference for the unbiased pipeline: one block after the other on this
+    thread, each block's log-det added as soon as it is known."""
+    from resflow.logdet import roulette_logdet_rows
+
+    h, logdet, terms_total, n_blocks = X, np.zeros(len(X)), 0.0, 0
+    for lay in model.layers:
+        if isinstance(lay, ActNorm):
+            logdet += lay.logdet
+            h = lay.forward(h)
+        else:
+            vals, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
+            logdet += vals
+            terms_total += float(terms.mean())
+            n_blocks += 1
+            h = h + g
+    logp = base_log_density(h)
+    logp += logdet
+    return h, logp, terms_total / n_blocks if n_blocks else 0.0
+
+
+def data_model(n_blocks, seed=40):
+    """A model whose actnorms are initialised from data, so each adds a
+    log-det of its own between the blocks'."""
+    model = build_model(np.random.default_rng(seed), n_blocks=n_blocks, hidden=16)
+    return actnorm_initialize(model, np.random.default_rng(seed + 1).standard_normal((64, 2)) * 2.0 + 1.0)
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    assert got[2] == want[2]
+
+
+class TestUnbiasedPipeline:
+    """The unbiased route runs every other block's series on the series worker."""
+
+    @pytest.mark.parametrize("n_hutchinson", [1, 3])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2, 5])
+    def test_matches_the_sequential_loop_bit_for_bit(self, n_blocks, n_hutchinson):
+        model = data_model(n_blocks)
+        assert any(lay.logdet != 0.0 for lay in model.layers if isinstance(lay, ActNorm))
+        X = np.random.default_rng(42).standard_normal((9, 2))
+        cfg = EstimatorConfig(n_hutchinson=n_hutchinson)
+        want = sequential_density(model, X, cfg, np.random.default_rng(43))
+        rng = np.random.default_rng(43)
+        assert_same_bits(log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=rng), want)
+        # the draws were taken in the same order: both generators end in one state
+        replay = np.random.default_rng(43)
+        sequential_density(model, X, cfg, replay)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    def test_callers_at_once_get_their_sequential_bytes(self):
+        """More callers than cores share the one worker, with the interpreter
+        switching threads every microsecond: each gets its own bytes."""
+        import sys
+        import threading
+
+        model, cfg = data_model(5), EstimatorConfig(n_hutchinson=2)
+        inputs = [np.random.default_rng(50 + c).standard_normal((20, 2)) for c in range(4)]
+
+        def three_calls(c, density):
+            rng = np.random.default_rng(60 + c)
+            return [density(model, inputs[c], cfg, rng) for _ in range(3)]
+
+        def pipelined(model, X, cfg, rng):
+            return log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=rng)
+
+        want = [three_calls(c, sequential_density) for c in range(4)]
+        got = [None] * 4
+
+        def caller(c):
+            got[c] = three_calls(c, pipelined)
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for c in range(4):
+            assert len(got[c]) == 3
+            for g, w in zip(got[c], want[c]):
+                assert_same_bits(g, w)
+
+    def test_worker_error_reaches_the_caller_and_the_worker_survives(self, monkeypatch):
+        import threading
+
+        import resflow.logdet as logdet
+
+        model, cfg = data_model(3), EstimatorConfig()
+        X = np.random.default_rng(70).standard_normal((6, 2))
+        real = logdet._series
+
+        def failing_on_worker(*args, **kwargs):
+            if threading.current_thread().name == "resflow series worker":
+                raise FloatingPointError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(logdet, "_series", failing_on_worker)
+        with pytest.raises(FloatingPointError, match="planted"):
+            log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(71))
+        monkeypatch.setattr(logdet, "_series", real)
+        want = sequential_density(model, X, cfg, np.random.default_rng(72))
+        got = log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(72))
+        assert_same_bits(got, want)
+
+    def test_training_and_exact_mode_start_no_thread(self, monkeypatch):
+        import threading
+
+        import resflow.blocks as blocks
+        import resflow.flow as flow
+        from resflow.config import TrainConfig
+        from resflow.train import init_train_state, train_step
+
+        def no_worker(fn):
+            raise AssertionError("handed a job to the series worker")
+
+        for module in (blocks, flow):
+            monkeypatch.setattr(module, "on_worker", no_worker)
+        before = threading.active_count()
+        state = init_train_state(TrainConfig(blocks=2, hidden=8, batch_size=64, eval_every=1000,
+                                             checkpoint_every=0))
+        train_step(state, state.dataset.sample(64))
+        log_density_batch(data_model(3), np.zeros((4, 2)), mode="exact")
+        assert threading.active_count() == before

@@ -365,7 +365,9 @@ class TestSeriesKernel:
                 values[i] += (-1.0) ** (k + 1) / k / weight * (v[i] @ power @ v[i])
         return values, w
 
-    @pytest.mark.parametrize("case", ["batch", "shared_point", "point_of_row"])
+    @pytest.mark.parametrize(
+        "case", ["batch", "shared_point", "point_of_row", "no_tail", "one_tail_row"]
+    )
     def test_values_and_cotangent_match_dense_powers(self, case):
         from resflow.blocks import block_dense_jacobian, block_forward_cache
         from resflow.logdet import _draw, _series
@@ -373,38 +375,39 @@ class TestSeriesKernel:
         params = mlp_block(seed=13, hidden=8, frac=1.2)
         X = np.random.default_rng(14).standard_normal((12, 2))
         cfg = EstimatorConfig()
-        point_of_row = None
+        point = np.arange(12)  # the cache row each probe row reads
         if case == "shared_point":
-            X = X[:1]
-        elif case == "point_of_row":
+            X, point = X[:1], np.zeros(12, dtype=int)
+        elif case == "point_of_row":  # 3 probes per point
             cfg = EstimatorConfig(n_hutchinson=3)
-            X = X[:4]
-            point_of_row = np.arange(12) // 3
+            X, point = X[:4], np.arange(12) // 3
         v, K, coefs = _draw(np.random.default_rng(15), 2, cfg, 12)
         # replay: all probes first, then all truncations
         replay = np.random.default_rng(15)
         np.testing.assert_array_equal(v, replay.standard_normal((12, 2)))
         np.testing.assert_array_equal(K, cfg.roulette.n_exact + cfg.roulette.sample(replay, 12))
         assert len(set(K)) > 2
+        if case == "no_tail":  # every row stops at the same term
+            K = np.full(12, K.max())
+        elif case == "one_tail_row":  # one row goes on past all the others
+            K = np.where(np.arange(12) == 7, K.max(), K.min())
 
-        jac = block_dense_jacobian(params, X)
-        point = np.zeros(12, dtype=int) if len(X) == 1 else point_of_row
-        jac = jac[np.arange(12) if point is None else point]
+        jac = block_dense_jacobian(params, X)[point]
         expected_values, expected_w = self.dense_sums(jac, v, K, cfg.roulette)
 
         _, cache = block_forward_cache(params, X)
         # with the cotangent every row stops one step early: the values lack
         # their last term, which the last chain state dotted with J v gives
-        values, w, last = _series(params, cache, v, K, *coefs, point_of_row=point_of_row)
+        values, w, last = _series(params, cache, v, K, *coefs)
         jv = np.einsum("ijk,ik->ij", jac, v)
         np.testing.assert_allclose(values + coefs[0][K - 1] * np.einsum("ij,ij->i", last, jv),
                                    expected_values, rtol=1e-12)
         np.testing.assert_allclose(w, expected_w, rtol=1e-12)
         # value-only calls step with J, all K terms
-        values_jvp, no_w, no_last = _series(params, cache, v, K, coefs[0], point_of_row=point_of_row)
+        values_jvp, no_w, no_last = _series(params, cache, v, K, coefs[0])
         np.testing.assert_allclose(values_jvp, expected_values, rtol=1e-12)
         assert no_w is None and no_last is None
-        _, w_only, no_last = _series(params, cache, v, K, None, coefs[1], point_of_row=point_of_row)
+        _, w_only, no_last = _series(params, cache, v, K, None, coefs[1])
         np.testing.assert_allclose(w_only, expected_w, rtol=1e-12)
         assert no_last is None
 
@@ -518,7 +521,7 @@ class TestTrainingEstimators:
         v, K, (coefs, _) = _draw(np.random.default_rng(14), 2, cfg, rows)
         assert len(set(K)) > 2
         _, cache = block_forward_cache(params, X)
-        full, _, _ = _series(params, cache, v, K, coefs, point_of_row=np.arange(rows) // n_hutchinson)
+        full, _, _ = _series(params, cache, v, K, coefs)  # row i reads point i // n_hutchinson
         np.testing.assert_allclose(values, full.reshape(10, n_hutchinson).mean(axis=1), rtol=1e-12)
 
     def test_biased_rows_expectation_is_truncated_series(self):

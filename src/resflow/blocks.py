@@ -74,8 +74,8 @@ done).
 
 from __future__ import annotations
 
-import queue
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -338,66 +338,23 @@ def _clear_pool() -> None:
 
 
 def release_workspace() -> None:
-    """Free this thread's pool and the series worker's; the next call that
-    needs a buffer makes it afresh."""
+    """Free this thread's pool and, once it has started, the series worker's;
+    the next call that needs a buffer makes it afresh."""
     _clear_pool()
-    if _worker is not None:
+    if _series_worker_started:
         on_worker(_clear_pool).result()
 
 
-# -- the series worker: one thread, fed jobs through a queue -----------------
+_series_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="resflow series worker")
+_series_worker_started = False
 
 
-class Job:
-    """A call queued for the series worker; :meth:`result` waits for it."""
-
-    def __init__(self, fn):
-        self._fn, self._done = fn, threading.Event()
-        self._out = self._exc = None
-
-    def _run(self) -> None:
-        try:
-            self._out = self._fn()
-        except BaseException as exc:  # raised again by result(), in the caller
-            self._exc = exc
-        finally:
-            self._fn = None  # drops what the call held as soon as it is done
-            self._done.set()
-
-    def result(self):
-        """What the call returned, once it has run; what it raised is raised here."""
-        self._done.wait()
-        if self._exc is not None:
-            raise self._exc
-        return self._out
-
-
-_jobs: queue.Queue = queue.Queue(maxsize=1)
-_worker: threading.Thread | None = None
-_worker_lock = threading.Lock()
-
-
-def _serve() -> None:
-    while True:
-        _jobs.get()._run()
-
-
-def on_worker(fn) -> Job:
-    """Run ``fn()`` on the series worker, a daemon thread started on first
-    use, with its own pool.  Jobs run one at a time in the order they were
-    queued; at most one waits, so this blocks while another is waiting.
-    Called from the worker itself, ``fn`` runs at once."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = threading.Thread(target=_serve, name="resflow series worker", daemon=True)
-            _worker.start()
-    job = Job(fn)
-    if threading.current_thread() is _worker:
-        job._run()
-    else:
-        _jobs.put(job)
-    return job
+def on_worker(fn) -> Future:
+    """Run ``fn()`` on the series worker, one thread with its own pool,
+    started on first use; calls run one at a time, in the order handed over."""
+    global _series_worker_started
+    _series_worker_started = True
+    return _series_worker.submit(fn)
 
 
 def _kernel_weights(params: BlockParams, key=None) -> list[np.ndarray]:
@@ -430,11 +387,12 @@ def block_forward_cache(params: BlockParams, x: np.ndarray, slot=None, slopes_on
     the block's position), ``z`` and ``s`` go into that slot's pool buffers
     and the kernel weights into the pool too: the cache is then valid
     until the next forward into the same slot.  Without one they are
-    fresh.  ``slopes_only`` returns, for the value routes, what
-    ``derive_cache(params, cache, slopes_only=True)`` would, bit for bit:
-    each layer's ``z`` and ``s`` live in the pool's two work buffers until
-    its slope is formed, and the kernel weights are made once.  ``g(x)`` is
-    a fresh array either way, bit for bit :func:`block_forward`.
+    fresh.  ``slopes_only`` returns, for the value routes and the kernels
+    given no cache, what ``derive_cache(params, cache, slopes_only=True)``
+    would, bit for bit: each layer's ``z`` and ``s`` live in the pool's two
+    work buffers until its slope is formed, and the kernel weights are made
+    once.  ``g(x)`` is a fresh array either way, bit for bit
+    :func:`block_forward`.
     """
     x, _ = _as_batch(params, x)
     n, shared = x.shape[0], slot is not None
@@ -528,7 +486,7 @@ Cache = BlockCache | DerivedCache | None
 def _cache_for(params: BlockParams, x: np.ndarray, cache: Cache, slopes_only=False) -> DerivedCache:
     """``cache`` derived (:func:`derive_cache`), from a fresh forward of ``x`` if None."""
     if cache is None:
-        _, cache = block_forward_cache(params, x)
+        _, cache = block_forward_cache(params, x, slopes_only=slopes_only)
     return derive_cache(params, cache, slopes_only)
 
 

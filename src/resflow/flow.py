@@ -27,11 +27,12 @@ draws back through it.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import Future
 from dataclasses import dataclass
 
 import numpy as np
 
-from resflow.blocks import BlockParams, Job, block_forward, on_worker
+from resflow.blocks import BlockParams, block_forward, on_worker
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
 from resflow.logdet import EstimatorConfig, exact_logdet, roulette_logdet_rows
 
@@ -249,7 +250,7 @@ def log_density_batch(
         else:
             # the draws, forward and slopes here, in layer order; the series
             # of every other block on the worker, the rest on this thread
-            series, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng, defer=True)
+            series, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
             if n_blocks % 2:
                 vals = series()
             else:
@@ -265,7 +266,7 @@ def log_density_batch(
     logp = base_log_density(h)
     logdet = np.zeros(X.shape[0])
     for part in parts:  # in layer order, once the worker's have arrived
-        logdet += part.result() if isinstance(part, Job) else part
+        logdet += part.result() if isinstance(part, Future) else part
     logp += logdet
     mean_terms = terms_total / n_blocks if (n_blocks and mode != "exact") else 0.0
     return h, logp, mean_terms

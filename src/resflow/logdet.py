@@ -20,9 +20,10 @@ differentiates every term and keeps both chains: storage linear in the
 truncation.
 
 Entry points: unbiased values per row (``roulette_logdet_rows``, which
-can hand back its block's series as a call, for ``flow`` to run on the
-series worker) or at one point (``*_logdet_batch``); training value and gradient per row
-(``roulette_value_and_neumann_grad_rows``, ``biased_value_and_grad_rows``);
+hands back its block's series as a call, so ``flow`` can run it on the
+series worker) or at one point (``*_logdet_batch``); training value and
+gradient per row (``roulette_value_and_neumann_grad_rows``,
+``biased_value_and_grad_rows``);
 single-point gradients (``neumann_logdet_grad``, ``neumann_grad_samples``,
 ``neumann_grad_exact_trace``, ``naive_series_grad``); and the dense
 oracles every route is tested against.  Values are in nats throughout.
@@ -344,20 +345,20 @@ def _point_means(a: np.ndarray, n: int, nh: int) -> np.ndarray:
 # -- estimators --------------------------------------------------------------
 
 
-def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None, defer=False):
+def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None):
     """``n`` estimates, each the mean of ``n_hutchinson`` draws, at row j of
-    ``X`` or at its only row: (values, total series terms, ``g(X)``).  With
-    ``defer`` the values come as a call that runs the series: the draws,
-    the forward and the slopes are done, and the call reads nothing else."""
+    ``X`` or at its only row: (series, total series terms, ``g(X)``).  The
+    draws, the forward and the slopes are done; ``series()`` runs the
+    series on them, reading nothing else, and returns the values."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     nh = cfg.n_hutchinson
     v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased, force_n)
     g, cache = block_forward_cache(params, X, slopes_only=True)  # the series reads slopes alone
 
-    def values():
+    def series():
         return _point_means(_series(params, cache, v, K, coefs)[0], n, nh)
 
-    return (values if defer else values()), K.reshape(n, nh).sum(axis=1), g
+    return series, K.reshape(n, nh).sum(axis=1), g
 
 
 def roulette_logdet_rows(
@@ -365,14 +366,13 @@ def roulette_logdet_rows(
     X: np.ndarray,
     cfg: EstimatorConfig,
     rng: np.random.Generator,
-    defer: bool = False,
 ):
-    """One unbiased estimate per row of ``X``: (values, series terms per row,
-    ``g(X)``), the last the block output of the forward the estimate was
-    built on, bit for bit ``block_forward``.  With ``defer`` the values come
-    as a call that runs the block's series, which may run on any thread
-    (``flow.log_density_batch`` hands it to the series worker)."""
-    return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)), defer=defer)
+    """One unbiased estimate per row of ``X``: (series, series terms per row,
+    ``g(X)``).  ``series()`` returns the estimates; it may run on any thread
+    (``flow.log_density_batch`` hands every other block's to the series
+    worker).  ``g(X)`` is the block output of the forward the estimate is
+    built on, bit for bit ``block_forward``."""
+    return _logdet_values(params, X, cfg, rng, len(np.atleast_2d(X)))
 
 
 def roulette_logdet_batch(
@@ -385,7 +385,8 @@ def roulette_logdet_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` unbiased estimates at one point: (values, series terms).
     Expected work is ``n_exact + 1/q`` terms; ``force_n`` fixes the tail."""
-    return _logdet_values(params, x, cfg, rng, n_samples, force_n=force_n)[:2]
+    series, terms, _ = _logdet_values(params, x, cfg, rng, n_samples, force_n=force_n)
+    return series(), terms
 
 
 def biased_logdet_batch(
@@ -397,7 +398,8 @@ def biased_logdet_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` fixed-truncation estimates at one point: (values, terms).
     Deterministic given the probes, but biased; the bias grows with Lip(g)."""
-    return _logdet_values(params, x, cfg, rng, n_samples, biased=True)[:2]
+    series, terms, _ = _logdet_values(params, x, cfg, rng, n_samples, biased=True)
+    return series(), terms
 
 
 def neumann_logdet_grad(

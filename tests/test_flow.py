@@ -290,8 +290,8 @@ def sequential_density(model, X, cfg, rng):
             logdet += lay.logdet
             h = lay.forward(h)
         else:
-            vals, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
-            logdet += vals
+            series, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
+            logdet += series()
             terms_total += float(terms.mean())
             n_blocks += 1
             h = h + g
@@ -379,7 +379,7 @@ class TestUnbiasedPipeline:
         real = logdet._series
 
         def failing_on_worker(*args, **kwargs):
-            if threading.current_thread().name == "resflow series worker":
+            if threading.current_thread().name.startswith("resflow series worker"):
                 raise FloatingPointError("planted")
             return real(*args, **kwargs)
 

@@ -366,7 +366,8 @@ def objective_gap(state, probe, kind):
             else:
                 from resflow.logdet import roulette_logdet_rows
 
-                reported, _, _ = roulette_logdet_rows(lay.params, h, est, rng)
+                series, _, _ = roulette_logdet_rows(lay.params, h, est, rng)
+                reported = series()
             total_gap += reported - exact
         h = lay.forward(h)
     return float(total_gap.mean()), float(total_gap.std(ddof=1) / np.sqrt(len(total_gap)))

@@ -48,7 +48,8 @@ one layer at a time, right before the layer that reads them.
 Buffers: one pool per thread holds every buffer a kernel reuses: the
 calling thread's, and the series worker's (:func:`on_worker`), the one
 thread to which ``flow.log_density_batch`` hands every other block's
-log-det series.  The series loop in ``logdet`` runs one chain per term,
+log-det series and ``train.nll_and_grad`` every block's Neumann series.
+The series loop in ``logdet`` runs one chain per term,
 ``flow.inverse`` one forward per Picard step and a training step every
 block's forward and reverse pass; fresh arrays there were handed back to
 the OS after each call and faulted in again by the next.
@@ -70,12 +71,23 @@ output never aliases the next step's input.  A pool stays allocated,
 every buffer it ever grew included, until :func:`release_workspace`
 frees the caller's and the worker's (``train.fit`` calls it when it is
 done).
+
+BLAS threads: the worker's series and the caller's kernels each drive
+BLAS, so both run inside :func:`one_blas_thread`, which pins the OpenBLAS
+that numpy loaded to one thread.  Its setter acts on the whole process,
+so the scope counts the scopes open in all threads under a lock, and the
+last one out restores the count the first one found.  Where no setter is
+found, :func:`on_worker` runs each job on the caller, so two threads never
+each drive a multi-threaded BLAS.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -345,16 +357,92 @@ def release_workspace() -> None:
         on_worker(_clear_pool).result()
 
 
+def _find_blas_setter(maps: str = "/proc/self/maps"):
+    """``openblas_set_num_threads_local`` of the OpenBLAS that numpy loaded,
+    found among the mapped files of ``maps``; None where there is none.
+    It sets the count of the whole process and returns the one it replaces."""
+    try:
+        with open(maps) as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@functools.cache
+def _blas_setter():
+    """:func:`_find_blas_setter`, looked up on first use."""
+    return _find_blas_setter()
+
+
+_blas_lock = threading.Lock()
+_blas_scopes = 0
+_blas_threads_before = 0
+
+
+@contextmanager
+def one_blas_thread():
+    """Pin OpenBLAS to one thread while any such scope is open, in any thread.
+
+    The last scope to close puts back the count the first one found.
+    Without OpenBLAS's setter the scope does nothing, and :func:`on_worker`
+    runs its jobs on the caller.
+    """
+    global _blas_scopes, _blas_threads_before
+    setter = _blas_setter()
+    if setter is None:
+        yield
+        return
+    with _blas_lock:
+        if not _blas_scopes:
+            _blas_threads_before = setter(1)
+        _blas_scopes += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_scopes -= 1
+            if not _blas_scopes:
+                setter(_blas_threads_before)
+
+
 _series_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="resflow series worker")
 _series_worker_started = False
 
 
 def on_worker(fn) -> Future:
     """Run ``fn()`` on the series worker, one thread with its own pool,
-    started on first use; calls run one at a time, in the order handed over."""
+    started on first use; calls run one at a time, in the order handed over.
+
+    Callers hand jobs over inside :func:`one_blas_thread`, so the two threads
+    share the CPUs as two one-thread BLAS users.  Where OpenBLAS's setter is
+    not found, ``fn`` runs on the caller and the future comes back done.
+    """
     global _series_worker_started
+    if _blas_setter() is None:
+        job = Future()
+        try:
+            job.set_result(fn())
+        except Exception as exc:
+            job.set_exception(exc)
+        return job
     _series_worker_started = True
     return _series_worker.submit(fn)
+
+
+def cancel_jobs(jobs) -> None:
+    """Cancel the ``jobs`` that have not started and wait for the others, so
+    none runs past a failed call."""
+    for job in jobs:
+        job.cancel()
+    wait(jobs)
 
 
 def _kernel_weights(params: BlockParams, key=None) -> list[np.ndarray]:

@@ -15,9 +15,11 @@ unbiased mode a block's series needs only its own draws and slopes once
 the forward has passed it, so the calling thread makes every block's
 draws, forward and slopes in layer order and hands every other block's
 series to the series worker (``blocks.on_worker``), one at a time, while
-it runs the others itself; the log-determinants are added in layer order
-once all have arrived, so the bytes are those of one thread.  Exact mode,
-:func:`inverse` and :func:`sample` start no thread.
+it runs the others itself, with BLAS at one thread
+(``blocks.one_blas_thread``); the log-determinants are added in layer
+order once all have arrived, so the bytes are those of one thread, and a
+call that fails waits for its job on the worker before it raises.  Exact
+mode, :func:`inverse` and :func:`sample` start no thread.
 :func:`transform` applies ``f`` alone; :func:`inverse` is plain
 fixed-point iteration ``x <- z - g(x)``, which converges geometrically
 because every branch is a contraction, and :func:`sample` pulls base
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import Future
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from resflow.blocks import BlockParams, block_forward, on_worker
+from resflow.blocks import BlockParams, block_forward, cancel_jobs, on_worker, one_blas_thread
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
 from resflow.logdet import EstimatorConfig, exact_logdet, roulette_logdet_rows
 
@@ -234,8 +237,17 @@ def log_density_batch(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "unbiased" and (cfg is None or rng is None):
         raise ValueError("mode 'unbiased' needs an estimator config and rng")
+    parts: list = []  # each layer's log-determinant, in layer order
+    with one_blas_thread() if mode == "unbiased" else nullcontext():
+        try:
+            return _log_density_rows(model, X, mode, cfg, rng, parts)
+        except BaseException:
+            cancel_jobs([part for part in parts if isinstance(part, Future)])  # none may run past the call
+            raise
+
+
+def _log_density_rows(model, X, mode, cfg, rng, parts):
     h = X
-    parts = []  # each layer's log-determinant, in layer order
     terms_total = 0.0
     n_blocks = 0
     job = None  # the worker's latest

@@ -22,8 +22,11 @@ truncation.
 Entry points: unbiased values per row (``roulette_logdet_rows``, which
 hands back its block's series as a call, so ``flow`` can run it on the
 series worker) or at one point (``*_logdet_batch``); training value and
-gradient per row (``roulette_value_and_neumann_grad_rows``,
-``biased_value_and_grad_rows``);
+gradient per row (``roulette_value_and_neumann_grad_rows``, which takes
+the block's draws and Neumann series from ``neumann_series_rows`` as a
+call or as the future of one on the series worker, so ``train`` can run
+every block's series ahead of the reverse passes, or makes and runs that
+call itself; ``biased_value_and_grad_rows``);
 single-point gradients (``neumann_logdet_grad``, ``neumann_grad_samples``,
 ``neumann_grad_exact_trace``, ``naive_series_grad``); and the dense
 oracles every route is tested against.  Values are in nats throughout.
@@ -31,6 +34,7 @@ oracles every route is tested against.  Values are in nats throughout.
 
 from __future__ import annotations
 
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -513,12 +517,33 @@ def neumann_grad_samples(
     return mean, np.sqrt(var / n_samples), terms_total / n_samples
 
 
-def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False):
+def neumann_series_rows(params, cache, cfg: EstimatorConfig, rng, rows: int):
+    """Draw ``rows`` probes and truncations now, and return the Neumann series
+    on them as a call: ``series()`` returns ``(v, K, value weights, values, w,
+    last)`` (:func:`_series`).  Row i reads point ``i // (rows / points)`` of
+    ``cache``.  The call reads the draws and the cache's slopes, which it
+    derives itself, and nothing else, so it may run on any thread while the
+    cache lives (``train.nll_and_grad`` queues every block's on the series
+    worker)."""
+    v, K, coefs = _draw(rng, params.dim, cfg, rows)
+
+    def series():
+        return (v, K, coefs[0], *_series(params, cache, v, K, *coefs))
+
+    return series
+
+
+def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False, series=None):
     """Per-row values and terms, summed parameter and per-row input gradients."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, nh = X.shape[0], cfg.n_hutchinson
     if cache is None:
         _, cache = block_forward_cache(params, X)
+    if not biased:
+        if series is None:
+            series = neumann_series_rows(params, cache, cfg, rng, n * nh)
+        # a call runs now, before the derivation below reuses its buffers
+        series = series if isinstance(series, Future) else series()
     if nh > 1:
         # the reverse pass reads one cache row per probe row: gather them
         rows = np.arange(n * nh) // nh
@@ -529,16 +554,16 @@ def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False)
         X, out_cot = cache.x, (None if out_cot is None else out_cot[rows])
     # the block's kernel weights and slopes, formed only now
     cache = derive_cache(params, cache)
-    v, K, coefs = _draw(rng, params.dim, cfg, n * nh, biased)
     if biased:
+        v, K, coefs = _draw(rng, params.dim, cfg, n * nh, biased)
         values, grads, input_grad = _differentiated_series(params, X, v, coefs[0], cache, out_cot=out_cot)
     else:
-        values, w, last = _series(params, cache, v, K, *coefs)
+        v, K, val_coefs, values, w, last = series.result() if isinstance(series, Future) else series
         grads, input_grad, jvp = bilinear_param_grad(
             params, X, w, v, cache=cache, want_input_grad=True, out_cot=out_cot, return_jvp=True
         )
         # each row's last value term, v^T J^K v = ((J^T)^(K-1) v) . (J v)
-        values += coefs[0][K - 1] * np.einsum("ij,ij->i", last, jvp)
+        values += val_coefs[K - 1] * np.einsum("ij,ij->i", last, jvp)
     grads.scale_(1.0 / nh)
     terms = K.reshape(n, nh).sum(axis=1)
     return _point_means(values, n, nh), terms, grads, _point_means(input_grad, n, nh)
@@ -551,6 +576,7 @@ def roulette_value_and_neumann_grad_rows(
     rng: np.random.Generator,
     cache=None,
     out_cot: np.ndarray | None = None,
+    series=None,
 ):
     """Training-time unbiased value and gradient for a batch of points.
 
@@ -562,9 +588,12 @@ def roulette_value_and_neumann_grad_rows(
     gradients are those of ``sum_i logdet_i + out_cot_i . g(x_i)``: the
     pathwise term rides the bilinear form's reverse pass.  With
     ``n_hutchinson > 1`` each point's cache row serves its probes and the
-    estimates are averaged.
+    estimates are averaged.  ``series`` is the block's
+    :func:`neumann_series_rows` on ``cache``, as a call or as the future of
+    one handed to the series worker; without it this call draws and runs
+    the series itself.
     """
-    return _value_and_grad_rows(params, X, cfg, rng, cache, out_cot)
+    return _value_and_grad_rows(params, X, cfg, rng, cache, out_cot, series=series)
 
 
 def biased_value_and_grad_rows(

@@ -95,7 +95,11 @@ class TestTrain:
         reaches an output is large enough for a BLAS dot to split it between
         threads, which changes its summation order; ``lr=0.05`` rescales
         layers from the first step, so the constraint's gradient is on the
-        path too.
+        path too.  The unbiased gradient now runs at one BLAS thread either
+        way (``blocks.one_blas_thread``), so here only the rest of the step
+        sees two; ``tests/test_train.py::TestBlasScope`` keeps the gradient
+        at two threads covered: without the setter it runs on the caller
+        with BLAS at 2 threads and must give the worker's bytes.
         """
         src = str(Path(__file__).resolve().parents[1] / "src")
         runner = "import sys; from resflow.cli import main; sys.exit(main())"

@@ -391,22 +391,26 @@ class TestUnbiasedPipeline:
         got = log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(72))
         assert_same_bits(got, want)
 
-    def test_training_and_exact_mode_start_no_thread(self, monkeypatch):
-        import threading
-
+    def test_exact_mode_and_biased_training_hand_the_worker_nothing(self, monkeypatch):
+        """Exact mode and biased training run on the caller; unbiased training
+        hands the worker each block's series once a step."""
         import resflow.blocks as blocks
         import resflow.flow as flow
+        import resflow.train as train
         from resflow.config import TrainConfig
         from resflow.train import init_train_state, train_step
 
-        def no_worker(fn):
-            raise AssertionError("handed a job to the series worker")
+        handed, real = [], blocks.on_worker
 
-        for module in (blocks, flow):
-            monkeypatch.setattr(module, "on_worker", no_worker)
-        before = threading.active_count()
-        state = init_train_state(TrainConfig(blocks=2, hidden=8, batch_size=64, eval_every=1000,
-                                             checkpoint_every=0))
-        train_step(state, state.dataset.sample(64))
+        def counted(fn):
+            handed.append(fn)
+            return real(fn)
+
+        for module in (blocks, flow, train):
+            monkeypatch.setattr(module, "on_worker", counted)
         log_density_batch(data_model(3), np.zeros((4, 2)), mode="exact")
-        assert threading.active_count() == before
+        for kind in ("biased", "unbiased"):
+            state = init_train_state(TrainConfig(blocks=2, hidden=8, batch_size=64, eval_every=1000,
+                                                 checkpoint_every=0, estimator_kind=kind))
+            train_step(state, state.dataset.sample(64))
+            assert len(handed) == (2 if kind == "unbiased" else 0)

@@ -2,16 +2,27 @@
 
 import json
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from resflow import blocks
+from resflow import blocks, logdet, train
 from resflow.blocks import BlockParams, LayerParams, block_param_grad_of_output
 from resflow.checkpoint import load_checkpoint, save_checkpoint
 from resflow.config import TrainConfig
 from resflow.errors import ConfigError
-from resflow.flow import ActNorm, FlowModel, ResidualBlock, log_density_batch
+from resflow.flow import (
+    ActNorm,
+    FlowModel,
+    ResidualBlock,
+    actnorm_initialize,
+    base_log_density,
+    build_model,
+    log_density_batch,
+)
 from resflow.logdet import (
     EstimatorConfig,
     biased_logdet_exact_trace_rows,
@@ -141,8 +152,6 @@ class TestObjectiveGradient:
         # forward rerun on every point repeated once per probe
         import dataclasses
 
-        from resflow import logdet, train
-
         state = init_train_state(tiny_cfg(blocks=3, hidden=8, n_hutchinson=3))
         X = state.dataset.sample(32)
         calls = []
@@ -158,20 +167,19 @@ class TestObjectiveGradient:
         assert len(calls) == len(list(state.model.blocks())) == 3
         monkeypatch.undo()
 
-        original = train.roulette_value_and_neumann_grad_rows
-
+        # the reference reruns each block's forward on every point repeated
+        # once per probe, with one probe a row: the same draws, in one order
         def rerun_on_repeated_rows(block, x_in, est_cfg, rng, cache=None, out_cot=None):
             nh, n = est_cfg.n_hutchinson, x_in.shape[0]
             one = dataclasses.replace(est_cfg, n_hutchinson=1)
-            values, terms, g, ig = original(
+            values, terms, g, ig = roulette_value_and_neumann_grad_rows(
                 block, np.repeat(x_in, nh, axis=0), one, rng, out_cot=np.repeat(out_cot, nh, axis=0)
             )
             return (values.reshape(n, nh).mean(axis=1), terms.reshape(n, nh).sum(axis=1),
                     g.scale_(1.0 / nh), ig.reshape(n, nh, -1).mean(axis=1))
 
-        monkeypatch.setattr(train, "roulette_value_and_neumann_grad_rows", rerun_on_repeated_rows)
-        ref_loss, ref_grads, _ = nll_and_grad(
-            state.model, X, "unbiased", state.est_cfg, np.random.default_rng(3)
+        ref_loss, ref_grads, _ = sequential_nll_and_grad(
+            state.model, X, "unbiased", state.est_cfg, np.random.default_rng(3), rerun_on_repeated_rows
         )
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         np.testing.assert_allclose(
@@ -179,6 +187,260 @@ class TestObjectiveGradient:
             state.packer.pack_grads(state.model, ref_grads),
             rtol=1e-12,
         )
+
+
+def sequential_nll_and_grad(model, X, mode, est_cfg, rng, estimator=roulette_value_and_neumann_grad_rows):
+    """Reference for the queued unbiased ``nll_and_grad``: one thread, and in
+    the backward sweep each block's draws, series and reverse pass in turn
+    (``estimator`` given no prepared series draws and runs it itself)."""
+    assert mode == "unbiased"
+    n = X.shape[0]
+    inputs, caches, h = [], [], X
+    for lay in model.layers:
+        inputs.append(h)
+        if isinstance(lay, ResidualBlock):
+            g, cache = blocks.block_forward_cache(lay.params, h)
+            caches.append(cache)
+            h = h + g
+        else:
+            caches.append(None)
+            h = lay.forward(h)
+    cot, logdet_sum = h.copy(), np.zeros(n)
+    grads, terms_mean, n_blocks = [None] * len(model.layers), 0.0, 0
+    for idx in range(len(model.layers) - 1, -1, -1):
+        lay, x_in = model.layers[idx], inputs[idx]
+        if isinstance(lay, ActNorm):
+            scale = np.exp(lay.log_scale)
+            g_log_scale = (cot * x_in).sum(axis=0) * scale
+            grads[idx] = np.concatenate([g_log_scale - n, cot.sum(axis=0)]) * (1.0 / n)
+            logdet_sum += lay.logdet
+            cot = cot * scale
+            continue
+        values, terms, bg, ig = estimator(lay.params, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot)
+        terms_mean += float(terms.mean())
+        n_blocks += 1
+        grads[idx] = bg.scale_(-1.0 / n)
+        logdet_sum += values
+        cot = cot - ig
+    loss = float(np.mean(-base_log_density(h) - logdet_sum))
+    return loss, grads, {"train_nll_nats": loss, "mean_terms": terms_mean / n_blocks if n_blocks else 0.0}
+
+
+def data_model(n_blocks, seed=40, hidden=16):
+    """A model whose actnorms are initialised from data, so each scales the
+    cotangent and adds a log-det of its own between the blocks'."""
+    model = build_model(np.random.default_rng(seed), n_blocks=n_blocks, hidden=hidden)
+    return actnorm_initialize(model, np.random.default_rng(seed + 1).standard_normal((64, 2)) * 2.0 + 1.0)
+
+
+def assert_same_step(got, want):
+    """Two ``nll_and_grad`` results agree bit for bit."""
+    assert got[0] == want[0] and got[2] == want[2]
+    for a, b in zip(got[1], want[1]):
+        a, b = (x.vec if isinstance(x, blocks.BlockGrads) else x for x in (a, b))
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def series_threads(monkeypatch):
+    """Patch ``logdet._series`` to record the name of each thread that runs it."""
+    names, real = [], logdet._series
+
+    def recorded(*args, **kwargs):
+        names.append(threading.current_thread().name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(logdet, "_series", recorded)
+    return names
+
+
+class TestSeriesQueue:
+    """Unbiased training queues every block's Neumann series on the series
+    worker right after the forward; the sweep waits for each at its block."""
+
+    @pytest.mark.parametrize("n_hutchinson", [1, 3])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2, 5])
+    def test_matches_the_sequential_sweep_bit_for_bit(self, monkeypatch, n_blocks, n_hutchinson):
+        model, cfg = data_model(n_blocks), EstimatorConfig(n_hutchinson=n_hutchinson)
+        assert any(lay.logdet != 0.0 for lay in model.layers if isinstance(lay, ActNorm))
+        X = np.random.default_rng(42).standard_normal((24, 2)) * 1.5
+        want_rng, rng = np.random.default_rng(43), np.random.default_rng(43)
+        want = sequential_nll_and_grad(model, X, "unbiased", cfg, want_rng)
+        names = series_threads(monkeypatch)
+        assert_same_step(nll_and_grad(model, X, "unbiased", cfg, rng), want)
+        # the draws were taken in the same order: both generators end in one state
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        worker = "resflow series worker" if blocks._blas_setter() else "MainThread"
+        assert len(names) == n_blocks and all(name.startswith(worker) for name in names)
+
+    def test_series_error_reaches_the_caller_and_no_job_outlives_the_step(self, monkeypatch):
+        model, cfg = data_model(5), EstimatorConfig(n_hutchinson=2)
+        X = np.random.default_rng(70).standard_normal((32, 2))
+        real, spans = logdet._series, []  # (start, end) of every series that ran
+
+        def first_fails_the_rest_are_slow(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                if not spans:
+                    raise FloatingPointError("planted")
+                time.sleep(0.05)
+                return real(*args, **kwargs)
+            finally:
+                spans.append((start, time.perf_counter()))
+
+        monkeypatch.setattr(logdet, "_series", first_fails_the_rest_are_slow)
+        with pytest.raises(FloatingPointError, match="planted"):
+            nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(71))
+        raised = time.perf_counter()
+        time.sleep(0.3)  # a job left queued would run now
+        assert spans and all(end <= raised for _, end in spans)
+        monkeypatch.undo()
+        want = sequential_nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(72))
+        assert_same_step(nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(72)), want)
+
+    def test_trainers_at_once_get_their_sequential_bytes(self, monkeypatch):
+        """More trainers than cores share the one worker, with the interpreter
+        switching threads every microsecond: each gets its own bytes."""
+        cfgs = [tiny_cfg(blocks=3, seed=80 + c, n_hutchinson=1 + c % 2) for c in range(4)]
+
+        def three_steps(c):
+            state = init_train_state(cfgs[c])
+            records = [train_step(state, state.dataset.sample(64)) for _ in range(3)]
+            return json.dumps(records, sort_keys=True), state.params.tobytes()
+
+        monkeypatch.setattr(train, "nll_and_grad", sequential_nll_and_grad)
+        want = [three_steps(c) for c in range(4)]
+        monkeypatch.undo()
+        got = [None] * 4
+
+        def trainer(c):
+            got[c] = three_steps(c)
+
+        threads = [threading.Thread(target=trainer, args=(c,)) for c in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS at 2 threads for the test, its count restored after; the
+    setter returns the count it replaces."""
+    setter = blocks._blas_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count setter")
+    before = setter(2)
+    yield setter
+    setter(before)
+
+
+def blas_threads(setter):
+    """OpenBLAS's thread count, read by setting it to 1 and back."""
+    count = setter(1)
+    setter(count)
+    return count
+
+
+class TestBlasScope:
+    """Unbiased ``nll_and_grad`` and ``log_density_batch`` run with BLAS at one
+    thread, in every thread, and leave the count as they found it.
+
+    ``tests/test_cli.py::test_blas_thread_count_does_not_change_training_bytes``
+    runs the unbiased gradient at one BLAS thread either way now; the
+    no-setter case below runs it at two, on the caller alone."""
+
+    def counting_series(self, monkeypatch, setter, fail=False):
+        """Patch ``logdet._series`` to record the BLAS thread count it runs at."""
+        seen, real = [], logdet._series
+
+        def counted(*args, **kwargs):
+            seen.append(blas_threads(setter))
+            if fail:
+                raise FloatingPointError("planted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(logdet, "_series", counted)
+        return seen
+
+    def test_each_call_restores_the_count(self, monkeypatch, blas_at_two):
+        model, cfg = data_model(3), EstimatorConfig()
+        X = np.random.default_rng(90).standard_normal((16, 2))
+        seen = self.counting_series(monkeypatch, blas_at_two)
+        log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(91))
+        assert blas_threads(blas_at_two) == 2
+        state = init_train_state(tiny_cfg(blocks=2))
+        train_step(state, state.dataset.sample(64))
+        assert blas_threads(blas_at_two) == 2
+        assert len(seen) == 3 + 2 and set(seen) == {1}
+        monkeypatch.undo()
+        self.counting_series(monkeypatch, blas_at_two, fail=True)
+        for call in (
+            lambda: log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(92)),
+            lambda: nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(93)),
+        ):
+            with pytest.raises(FloatingPointError, match="planted"):
+                call()
+            assert blas_threads(blas_at_two) == 2
+
+    def test_overlapping_callers_restore_the_count(self, monkeypatch, blas_at_two):
+        model, cfg = data_model(3), EstimatorConfig()
+        seen = self.counting_series(monkeypatch, blas_at_two)
+        errors = []
+
+        def caller(c):
+            try:
+                rng = np.random.default_rng(100 + c)
+                for _ in range(3):
+                    X = rng.standard_normal((16, 2))
+                    if c % 2:
+                        log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=rng)
+                    else:
+                        nll_and_grad(model, X, "unbiased", cfg, rng)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(c,)) for c in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert len(seen) == 4 * 3 * 3 and set(seen) == {1}
+        assert blas_threads(blas_at_two) == 2
+
+    def test_without_the_setter_the_series_run_on_the_caller(self, monkeypatch, blas_at_two):
+        """No setter: the scope does nothing and the worker is not used, so
+        the one thread runs the series with BLAS at 2 threads, and the bytes
+        are those of the worker at 1 thread."""
+        state = init_train_state(tiny_cfg(blocks=2, hidden=128, batch_size=512))
+        X = state.dataset.sample(512)
+        cfg, eval_cfg = state.est_cfg, EstimatorConfig(n_hutchinson=2)
+        want = (nll_and_grad(state.model, X, "unbiased", cfg, np.random.default_rng(5)),
+                log_density_batch(state.model, X, mode="unbiased", cfg=eval_cfg, rng=np.random.default_rng(6)))
+        monkeypatch.setattr(blocks, "_blas_setter", lambda: None)
+        seen = self.counting_series(monkeypatch, blas_at_two)
+        names = series_threads(monkeypatch)
+        got = (nll_and_grad(state.model, X, "unbiased", cfg, np.random.default_rng(5)),
+               log_density_batch(state.model, X, mode="unbiased", cfg=eval_cfg, rng=np.random.default_rng(6)))
+        assert names == ["MainThread"] * 4 and seen == [2] * 4
+        assert_same_step(got[0], want[0])
+        for a, b in zip(got[1][:2], want[1][:2]):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+        assert got[1][2] == want[1][2]
+
+    def test_setter_lookup(self, tmp_path):
+        maps = tmp_path / "maps"
+        maps.write_text("7f0000000000-7f0000001000 r-xp 00000000 00:00 0 /usr/lib/libm.so.6\n")
+        assert blocks._find_blas_setter(str(maps)) is None
+        assert blocks._find_blas_setter(str(tmp_path / "absent")) is None
+        assert (blocks._find_blas_setter() is None) == (blocks._blas_setter() is None)
 
 
 def two_call_unbiased_grads(model, X, est_cfg, rng, estimator=roulette_value_and_neumann_grad_rows):

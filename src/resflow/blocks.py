@@ -46,13 +46,11 @@ one layer at a time, right before the layer that reads them.
 ``activations.lipswish*`` stay the reference the tests compare against.
 
 Buffers: one pool per thread holds every buffer a kernel reuses: the
-calling thread's, and the series worker's (:func:`on_worker`), the one
-thread to which ``flow.log_density_batch`` hands every other block's
-log-det series and ``train.nll_and_grad`` every block's Neumann series.
-The series loop in ``logdet`` runs one chain per term,
-``flow.inverse`` one forward per Picard step and a training step every
-block's forward and reverse pass; fresh arrays there were handed back to
-the OS after each call and faulted in again by the next.
+calling thread's, and the series worker's (see below).  The series loop
+in ``logdet`` runs one chain per term, ``flow.inverse`` one forward per
+Picard step and a training step every block's forward and reverse pass;
+fresh arrays there were handed back to the OS after each call and
+faulted in again by the next.
 :func:`block_forward` and the JVP/VJP chains write their hidden-width
 products into the pool's two work buffers, and the forward cache its
 layer outputs ``z s``, which only the next product reads, into its
@@ -72,13 +70,14 @@ every buffer it ever grew included, until :func:`release_workspace`
 frees the caller's and the worker's (``train.fit`` calls it when it is
 done).
 
-BLAS threads: the worker's series and the caller's kernels each drive
-BLAS, so both run inside :func:`one_blas_thread`, which pins the OpenBLAS
-that numpy loaded to one thread.  Its setter acts on the whole process,
-so the scope counts the scopes open in all threads under a lock, and the
-last one out restores the count the first one found.  Where no setter is
-found, :func:`on_worker` runs each job on the caller, so two threads never
-each drive a multi-threaded BLAS.
+The series worker: a block's log-det series, or its Neumann series, reads
+only its own draws and slopes once the forward has passed the block, never
+a cotangent from later blocks (Residual Flows, arXiv:1906.02735, §3.2), so
+it may run on a second thread.  :func:`series_worker` is the one scope in
+which a call does that: ``flow.log_density_batch`` and
+``train.nll_and_grad`` open it around an unbiased call and hand it their
+series; it owns the thread, the BLAS thread count while it is open, and
+the clean-up when the call fails.
 """
 
 from __future__ import annotations
@@ -353,8 +352,8 @@ def release_workspace() -> None:
     """Free this thread's pool and, once it has started, the series worker's;
     the next call that needs a buffer makes it afresh."""
     _clear_pool()
-    if _series_worker_started:
-        on_worker(_clear_pool).result()
+    if _executor_started:
+        _executor.submit(_clear_pool).result()
 
 
 def _find_blas_setter(maps: str = "/proc/self/maps"):
@@ -385,64 +384,59 @@ def _blas_setter():
 _blas_lock = threading.Lock()
 _blas_scopes = 0
 _blas_threads_before = 0
+_executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="resflow series worker")
+_executor_started = False
 
 
-@contextmanager
-def one_blas_thread():
-    """Pin OpenBLAS to one thread while any such scope is open, in any thread.
-
-    The last scope to close puts back the count the first one found.
-    Without OpenBLAS's setter the scope does nothing, and :func:`on_worker`
-    runs its jobs on the caller.
-    """
-    global _blas_scopes, _blas_threads_before
-    setter = _blas_setter()
-    if setter is None:
-        yield
-        return
-    with _blas_lock:
-        if not _blas_scopes:
-            _blas_threads_before = setter(1)
-        _blas_scopes += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_scopes -= 1
-            if not _blas_scopes:
-                setter(_blas_threads_before)
-
-
-_series_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="resflow series worker")
-_series_worker_started = False
-
-
-def on_worker(fn) -> Future:
-    """Run ``fn()`` on the series worker, one thread with its own pool,
-    started on first use; calls run one at a time, in the order handed over.
-
-    Callers hand jobs over inside :func:`one_blas_thread`, so the two threads
-    share the CPUs as two one-thread BLAS users.  Where OpenBLAS's setter is
-    not found, ``fn`` runs on the caller and the future comes back done.
-    """
-    global _series_worker_started
+def _submit(fn, jobs: list) -> Future:
+    """Run ``fn()`` on the series worker, or here where OpenBLAS's setter is
+    not found, and add its future to ``jobs``."""
+    global _executor_started
     if _blas_setter() is None:
         job = Future()
         try:
             job.set_result(fn())
         except Exception as exc:
             job.set_exception(exc)
-        return job
-    _series_worker_started = True
-    return _series_worker.submit(fn)
+    else:
+        _executor_started = True
+        job = _executor.submit(fn)
+    jobs.append(job)
+    return job
 
 
-def cancel_jobs(jobs) -> None:
-    """Cancel the ``jobs`` that have not started and wait for the others, so
-    none runs past a failed call."""
-    for job in jobs:
-        job.cancel()
-    wait(jobs)
+@contextmanager
+def series_worker():
+    """The scope in which a call hands block series to the series worker.
+
+    Yields ``submit(fn) -> Future``, which runs ``fn()`` on the worker, one
+    thread with its own pool, started on first use; jobs run one at a time,
+    in the order handed over.  While any scope is open, in any thread,
+    OpenBLAS is pinned to one thread, so the caller and the worker share
+    the CPUs as two one-thread BLAS users; the last scope to close puts
+    back the count the first one found.  Without OpenBLAS's setter the
+    scope pins nothing and ``fn`` runs on the caller, its future coming
+    back done.  If the body raises, every job it handed over is cancelled
+    or waited for before the error leaves the scope, so none runs past it.
+    """
+    global _blas_scopes, _blas_threads_before
+    setter, jobs = _blas_setter(), []
+    with _blas_lock:
+        if setter and not _blas_scopes:
+            _blas_threads_before = setter(1)
+        _blas_scopes += 1
+    try:
+        yield lambda fn: _submit(fn, jobs)
+    except BaseException:
+        for job in jobs:
+            job.cancel()
+        wait(jobs)
+        raise
+    finally:
+        with _blas_lock:
+            _blas_scopes -= 1
+            if setter and not _blas_scopes:
+                setter(_blas_threads_before)
 
 
 def _kernel_weights(params: BlockParams, key=None) -> list[np.ndarray]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--mode", default="exact", choices=("exact", "estimator"))
-    p_eval.add_argument("--n-eval", type=int, default=2000)
+    p_eval.add_argument("--n-eval", type=_int_at_least(2), default=2000)
     p_eval.set_defaults(func=cmd_eval)
 
     p_sample = sub.add_parser("sample", help="draw samples from a checkpoint")
@@ -135,20 +136,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--checkpoint", default=None)
     p_diag.add_argument("--block-index", type=int, default=0)
     p_diag.add_argument("--arch", default="linear", choices=("linear", "mlp"))
-    p_diag.add_argument("--hidden", type=int, default=64)
-    p_diag.add_argument("--n-samples", type=int, default=50_000)
+    p_diag.add_argument("--hidden", type=_int_at_least(1), default=64)
+    p_diag.add_argument("--n-samples", type=_int_at_least(2), default=50_000)
     p_diag.add_argument("--coeffs", default=",".join(str(c) for c in DIAGNOSE_COEFFS))
     p_diag.add_argument("--at", default="0.0,0.0", help="evaluation point x,y")
-    p_diag.add_argument("--threads", type=_positive_int, default=1, help="Monte-Carlo worker threads")
+    p_diag.add_argument("--threads", type=_int_at_least(1), default=1, help="Monte-Carlo worker threads")
     p_diag.set_defaults(func=cmd_diagnose)
     return parser
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_overrides(extras: list[str]) -> dict[str, str]:
@@ -238,15 +244,18 @@ def cmd_sample(args, overrides) -> int:
 
 
 def cmd_grid(args, overrides) -> int:
-    model, cfg = load_state_checkpoint(args.checkpoint)
-    out = resolve_out_dir(args)
     try:
         bounds = tuple(float(t) for t in args.bounds.split(","))
         nx, ny = (int(t) for t in args.resolution.split(","))
-        if len(bounds) != 4:
+        # a box of finite positive width and height, at least one cell a side
+        if len(bounds) != 4 or min(nx, ny) < 1:
+            raise ValueError
+        if not all(0.0 < hi - lo < math.inf for lo, hi in (bounds[:2], bounds[2:])):
             raise ValueError
     except ValueError as exc:
         raise ConfigError(f"bad --bounds/--resolution: {args.bounds} {args.resolution}") from exc
+    model, cfg = load_state_checkpoint(args.checkpoint)
+    out = resolve_out_dir(args)
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 606]))
     grid = compute_grid(
@@ -318,17 +327,19 @@ def _mc_chunks(fn, n_samples: int, threads: int, seed_key: list[int], chunk: int
 
 
 def cmd_diagnose(args, overrides) -> int:
-    out = resolve_out_dir(args)
     try:
         coeffs = [float(t) for t in args.coeffs.split(",")]
-        at = np.array([float(t) for t in args.at.split(",")])
+        x = np.array([float(t) for t in args.at.split(",")])
     except ValueError as exc:
         raise ConfigError("bad --coeffs or --at value") from exc
+    if not all(0.0 < c < 1.0 for c in coeffs):
+        raise ConfigError(f"each --coeffs value must lie in (0, 1), got {args.coeffs}")
     seed = args.seed if args.seed is not None else 0
     rows = ["coeff,estimator,mc_mean,exact,bias,se,mean_terms"]
     for coeff in coeffs:
         params = _diagnose_block(args, coeff)
-        x = at if params.dim == at.size else np.zeros(params.dim)
+        if x.size != params.dim:
+            raise ConfigError(f"--at must have {params.dim} coordinates, got {args.at}")
         exact = float(exact_logdet(params, x))
         for est_idx, name in enumerate(DIAGNOSE_ESTIMATORS):
             if name == "unbiased":
@@ -347,7 +358,7 @@ def cmd_diagnose(args, overrides) -> int:
                 f"{coeff!r},{name},{mean!r},{exact!r},{(mean - exact)!r},{se!r},"
                 f"{float(terms.mean())!r}"
             )
-    target = out / "diagnose.csv"
+    target = resolve_out_dir(args) / "diagnose.csv"
     target.write_text("\n".join(rows) + "\n")
     print(f"wrote {target}", file=sys.stderr)
     return EXIT_OK

@@ -11,15 +11,12 @@ layers contribute the sum of their log scales.
 rows (a single point is a one-row batch): it takes each block's
 log-determinant and output from ``logdet.exact_logdet`` or
 ``roulette_logdet_rows``, whose forward already computes ``g``.  In
-unbiased mode a block's series needs only its own draws and slopes once
-the forward has passed it, so the calling thread makes every block's
-draws, forward and slopes in layer order and hands every other block's
-series to the series worker (``blocks.on_worker``), one at a time, while
-it runs the others itself, with BLAS at one thread
-(``blocks.one_blas_thread``); the log-determinants are added in layer
-order once all have arrived, so the bytes are those of one thread, and a
-call that fails waits for its job on the worker before it raises.  Exact
-mode, :func:`inverse` and :func:`sample` start no thread.
+unbiased mode the calling thread makes every block's draws, forward and
+slopes in layer order, inside one ``blocks.series_worker`` scope, and
+hands every other block's series to the worker, one at a time, while it
+runs the others itself; the log-determinants are added in layer order
+once all have arrived, so the bytes are those of one thread.  Exact mode,
+:func:`inverse` and :func:`sample` start no thread.
 :func:`transform` applies ``f`` alone; :func:`inverse` is plain
 fixed-point iteration ``x <- z - g(x)``, which converges geometrically
 because every branch is a contraction, and :func:`sample` pulls base
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from resflow.blocks import BlockParams, block_forward, cancel_jobs, on_worker, one_blas_thread
+from resflow.blocks import BlockParams, block_forward, series_worker
 from resflow.errors import ContractivityError, InitializationError, NonFiniteError, ShapeError
 from resflow.logdet import EstimatorConfig, exact_logdet, roulette_logdet_rows
 
@@ -237,48 +234,40 @@ def log_density_batch(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "unbiased" and (cfg is None or rng is None):
         raise ValueError("mode 'unbiased' needs an estimator config and rng")
-    parts: list = []  # each layer's log-determinant, in layer order
-    with one_blas_thread() if mode == "unbiased" else nullcontext():
-        try:
-            return _log_density_rows(model, X, mode, cfg, rng, parts)
-        except BaseException:
-            cancel_jobs([part for part in parts if isinstance(part, Future)])  # none may run past the call
-            raise
-
-
-def _log_density_rows(model, X, mode, cfg, rng, parts):
     h = X
     terms_total = 0.0
     n_blocks = 0
+    parts: list = []  # each layer's log-determinant, in layer order
     job = None  # the worker's latest
-    for lay in model.layers:
-        if isinstance(lay, ActNorm):
-            parts.append(lay.logdet)
-            h = lay.forward(h)
-            continue
-        # each route hands back the g(h) of its own forward
-        if mode == "exact":
-            vals, g = exact_logdet(lay.params, h, with_output=True)
-        else:
-            # the draws, forward and slopes here, in layer order; the series
-            # of every other block on the worker, the rest on this thread
-            series, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
-            if n_blocks % 2:
-                vals = series()
+    with series_worker() if mode == "unbiased" else nullcontext() as submit:
+        for lay in model.layers:
+            if isinstance(lay, ActNorm):
+                parts.append(lay.logdet)
+                h = lay.forward(h)
+                continue
+            # each route hands back the g(h) of its own forward
+            if mode == "exact":
+                vals, g = exact_logdet(lay.params, h, with_output=True)
             else:
-                if job is not None:
-                    job.result()  # one series on the worker at a time
-                vals = job = on_worker(series)
-            del series  # the block's slopes go once its series is done, not a block later
-            terms_total += float(terms.mean())
-        n_blocks += 1
-        parts.append(vals)
-        g += h  # in place, as in ActNorm.inverse
-        h = g
-    logp = base_log_density(h)
-    logdet = np.zeros(X.shape[0])
-    for part in parts:  # in layer order, once the worker's have arrived
-        logdet += part.result() if isinstance(part, Future) else part
+                # the draws, forward and slopes here, in layer order; the series
+                # of every other block on the worker, the rest on this thread
+                series, terms, g = roulette_logdet_rows(lay.params, h, cfg, rng)
+                if n_blocks % 2:
+                    vals = series()
+                else:
+                    if job is not None:
+                        job.result()  # one series on the worker at a time
+                    vals = job = submit(series)
+                del series  # the block's slopes go once its series is done, not a block later
+                terms_total += float(terms.mean())
+            n_blocks += 1
+            parts.append(vals)
+            g += h  # in place, as in ActNorm.inverse
+            h = g
+        logp = base_log_density(h)
+        logdet = np.zeros(X.shape[0])
+        for part in parts:  # in layer order, once the worker's have arrived
+            logdet += part.result() if isinstance(part, Future) else part
     logp += logdet
     mean_terms = terms_total / n_blocks if (n_blocks and mode != "exact") else 0.0
     return h, logp, mean_terms

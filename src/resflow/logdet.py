@@ -23,10 +23,10 @@ Entry points: unbiased values per row (``roulette_logdet_rows``, which
 hands back its block's series as a call, so ``flow`` can run it on the
 series worker) or at one point (``*_logdet_batch``); training value and
 gradient per row (``roulette_value_and_neumann_grad_rows``, which takes
-the block's draws and Neumann series from ``neumann_series_rows`` as a
-call or as the future of one on the series worker, so ``train`` can run
-every block's series ahead of the reverse passes, or makes and runs that
-call itself; ``biased_value_and_grad_rows``);
+the future of the block's draws and Neumann series from
+``neumann_series_rows``, so ``train`` can run every block's series ahead
+of the reverse passes, or draws and runs them itself;
+``biased_value_and_grad_rows``);
 single-point gradients (``neumann_logdet_grad``, ``neumann_grad_samples``,
 ``neumann_grad_exact_trace``, ``naive_series_grad``); and the dense
 oracles every route is tested against.  Values are in nats throughout.
@@ -539,11 +539,10 @@ def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False,
     n, nh = X.shape[0], cfg.n_hutchinson
     if cache is None:
         _, cache = block_forward_cache(params, X)
-    if not biased:
-        if series is None:
-            series = neumann_series_rows(params, cache, cfg, rng, n * nh)
-        # a call runs now, before the derivation below reuses its buffers
-        series = series if isinstance(series, Future) else series()
+    if not biased and series is None:
+        # the series runs now, before the derivation below reuses its buffers
+        series = Future()
+        series.set_result(neumann_series_rows(params, cache, cfg, rng, n * nh)())
     if nh > 1:
         # the reverse pass reads one cache row per probe row: gather them
         rows = np.arange(n * nh) // nh
@@ -558,7 +557,7 @@ def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False,
         v, K, coefs = _draw(rng, params.dim, cfg, n * nh, biased)
         values, grads, input_grad = _differentiated_series(params, X, v, coefs[0], cache, out_cot=out_cot)
     else:
-        v, K, val_coefs, values, w, last = series.result() if isinstance(series, Future) else series
+        v, K, val_coefs, values, w, last = series.result()
         grads, input_grad, jvp = bilinear_param_grad(
             params, X, w, v, cache=cache, want_input_grad=True, out_cot=out_cot, return_jvp=True
         )
@@ -588,10 +587,9 @@ def roulette_value_and_neumann_grad_rows(
     gradients are those of ``sum_i logdet_i + out_cot_i . g(x_i)``: the
     pathwise term rides the bilinear form's reverse pass.  With
     ``n_hutchinson > 1`` each point's cache row serves its probes and the
-    estimates are averaged.  ``series`` is the block's
-    :func:`neumann_series_rows` on ``cache``, as a call or as the future of
-    one handed to the series worker; without it this call draws and runs
-    the series itself.
+    estimates are averaged.  ``series`` is the future of the block's
+    :func:`neumann_series_rows` on ``cache``, handed to the series worker;
+    without it this call draws and runs the series itself.
     """
     return _value_and_grad_rows(params, X, cfg, rng, cache, out_cot, series=series)
 

@@ -15,18 +15,14 @@ are derived from them one block at a time, right before that block's
 pass (``blocks.derive_cache``).
 
 In unbiased mode the draws and the Neumann series leave the backward
-sweep: the series of a block reads only its own probes, truncations and
-slopes, never the cotangent from later blocks (Residual Flows,
-arXiv:1906.02735, §3.2).  So right after the forward the calling thread
-draws every block's probes and truncations in the order the sweep meets
-the blocks, last first, and queues each block's series on the series worker
-(``blocks.on_worker``), which derives its own slopes; the sweep waits for
-a block's series only when it reaches that block, and runs the reverse
+sweep: right after the forward the calling thread draws every block's
+probes and truncations in the order the sweep meets the blocks, last
+first, and queues each block's series in one ``blocks.series_worker``
+scope; the series derives its own slopes, and the sweep waits for a
+block's series only when it reaches that block, running the reverse
 passes meanwhile.  Every output byte and the generator's final state are
-those of the sequential sweep.  The step runs with BLAS at one thread
-(``blocks.one_blas_thread``), and a step that fails cancels or waits for
-its queued series before it raises.  Biased and exact mode stay on the
-calling thread.
+those of the sequential sweep.  Biased and exact mode stay on the calling
+thread.
 
 The optimizer's variable is the unnormalized parameter vector ``V``, as
 in spectral normalization: the model's weights are derived from it as
@@ -54,13 +50,11 @@ from resflow.blocks import (
     BlockGrads,
     block_forward_cache,
     block_param_grad_of_output,
-    cancel_jobs,
     derive_cache,
-    on_worker,
-    one_blas_thread,
     param_count,
     param_vector,
     release_workspace,
+    series_worker,
     set_param_vector,
 )
 from resflow.checkpoint import load_checkpoint, save_checkpoint
@@ -193,98 +187,88 @@ def nll_and_grad(
     ``[log_scale; shift]``, a block's a ``BlockGrads``.  ``mode`` is
     ``exact``, ``unbiased`` or ``biased``; stochastic modes draw one
     (probe, truncation) pair per sample and block, shared between the
-    recorded value and the gradient.  Unbiased mode runs with BLAS at one
-    thread (``blocks.one_blas_thread``), as it queues every block's series
-    on the series worker.
+    recorded value and the gradient.  Unbiased mode runs in one
+    ``blocks.series_worker`` scope and queues every block's series on it.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if mode not in ("exact", "unbiased", "biased"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode != "exact" and (est_cfg is None or rng is None):
         raise ValueError(f"mode {mode!r} needs an estimator config and rng")
-    series: list = [None] * len(model.layers)  # each block's queued series, in unbiased mode
-    with one_blas_thread() if mode == "unbiased" else nullcontext():
-        try:
-            return _nll_and_grad(model, X, mode, est_cfg, rng, series)
-        except BaseException:
-            # no queued series may run beside the caller's next forward
-            cancel_jobs([job for job in series if job is not None])
-            raise
-
-
-def _nll_and_grad(model, X, mode, est_cfg, rng, series):
     n = X.shape[0]
-    # forward, keeping per-layer inputs and block caches; each block's (z, s)
-    # stay in its own pool slot, reused from step to step
-    inputs: list[np.ndarray] = []
-    caches: list = []
-    h = X
-    for idx, lay in enumerate(model.layers):
-        inputs.append(h)
-        if isinstance(lay, ResidualBlock):
-            g, cache = block_forward_cache(lay.params, h, slot=idx)
-            caches.append(cache)
-            h = h + g
-        else:
-            caches.append(None)
-            h = lay.forward(h)
-    z = h
-    base = base_log_density(z)
-    if mode == "unbiased":
-        # every block's draws here, in the sweep's order (last block first);
-        # its Neumann series, which reads no cotangent, queues on the series
-        # worker, and the sweep waits for it only at its block
-        rows = n * est_cfg.n_hutchinson
-        for idx in range(len(model.layers) - 1, -1, -1):
-            if caches[idx] is not None:
-                block = model.layers[idx].params
-                series[idx] = on_worker(neumann_series_rows(block, caches[idx], est_cfg, rng, rows))
-
-    # backward sweep; cotangent of sum_i NLL_i w.r.t. the layer output
-    cot = z.copy()
-    inv_n = 1.0 / n
-    logdet_sum = np.zeros(n)
-    grads: list = [None] * len(model.layers)
-    terms_mean = 0.0
-    n_blocks = 0
-    for idx in range(len(model.layers) - 1, -1, -1):
-        lay = model.layers[idx]
-        x_in = inputs[idx]
-        if isinstance(lay, ActNorm):
-            scale = np.exp(lay.log_scale)
-            g_log_scale = (cot * x_in).sum(axis=0) * scale
-            # log-det term of the objective: each sample adds -sum(log_scale)
-            grads[idx] = np.concatenate([g_log_scale - n, cot.sum(axis=0)]) * inv_n
-            logdet_sum += lay.logdet
-            cot = cot * scale
-            continue
-
-        n_blocks += 1
-        block = lay.params
-        if mode == "exact":
-            cache = derive_cache(block, caches[idx])
-            bg, vjp = block_param_grad_of_output(block, x_in, cot, cache=cache, return_vjp=True)
-            cot = cot + vjp
-            values = exact_logdet(block, x_in)
-            lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)
-            bg.add_(lg, scale=-1.0).scale_(inv_n)
-        else:
-            # the pathwise term rides the log-det's reverse pass: the
-            # gradients of sum_i logdet_i - cot_i . g(x_i)
-            if mode == "unbiased":
-                values, terms, bg, ig = roulette_value_and_neumann_grad_rows(
-                    block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot, series=series[idx]
-                )
+    with series_worker() if mode == "unbiased" else nullcontext() as submit:
+        # forward, keeping per-layer inputs and block caches; each block's (z, s)
+        # stay in its own pool slot, reused from step to step
+        inputs: list[np.ndarray] = []
+        caches: list = []
+        h = X
+        for idx, lay in enumerate(model.layers):
+            inputs.append(h)
+            if isinstance(lay, ResidualBlock):
+                g, cache = block_forward_cache(lay.params, h, slot=idx)
+                caches.append(cache)
+                h = h + g
             else:
-                values, terms, bg, ig = biased_value_and_grad_rows(
-                    block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot
-                )
-            terms_mean += float(terms.mean())
-            # the batch mean of the negated sum
-            bg.scale_(-inv_n)
-        logdet_sum += values
-        cot = cot - ig
-        grads[idx] = bg
+                caches.append(None)
+                h = lay.forward(h)
+        z = h
+        base = base_log_density(z)
+        if mode == "unbiased":
+            # every block's draws here, in the sweep's order (last block first);
+            # its Neumann series, which reads no cotangent, queues on the series
+            # worker, and the sweep waits for it only at its block
+            rows = n * est_cfg.n_hutchinson
+            series: list = [None] * len(model.layers)
+            for idx in range(len(model.layers) - 1, -1, -1):
+                if caches[idx] is not None:
+                    block = model.layers[idx].params
+                    series[idx] = submit(neumann_series_rows(block, caches[idx], est_cfg, rng, rows))
+
+        # backward sweep; cotangent of sum_i NLL_i w.r.t. the layer output
+        cot = z.copy()
+        inv_n = 1.0 / n
+        logdet_sum = np.zeros(n)
+        grads: list = [None] * len(model.layers)
+        terms_mean = 0.0
+        n_blocks = 0
+        for idx in range(len(model.layers) - 1, -1, -1):
+            lay = model.layers[idx]
+            x_in = inputs[idx]
+            if isinstance(lay, ActNorm):
+                scale = np.exp(lay.log_scale)
+                g_log_scale = (cot * x_in).sum(axis=0) * scale
+                # log-det term of the objective: each sample adds -sum(log_scale)
+                grads[idx] = np.concatenate([g_log_scale - n, cot.sum(axis=0)]) * inv_n
+                logdet_sum += lay.logdet
+                cot = cot * scale
+                continue
+
+            n_blocks += 1
+            block = lay.params
+            if mode == "exact":
+                cache = derive_cache(block, caches[idx])
+                bg, vjp = block_param_grad_of_output(block, x_in, cot, cache=cache, return_vjp=True)
+                cot = cot + vjp
+                values = exact_logdet(block, x_in)
+                lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)
+                bg.add_(lg, scale=-1.0).scale_(inv_n)
+            else:
+                # the pathwise term rides the log-det's reverse pass: the
+                # gradients of sum_i logdet_i - cot_i . g(x_i)
+                if mode == "unbiased":
+                    values, terms, bg, ig = roulette_value_and_neumann_grad_rows(
+                        block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot, series=series[idx]
+                    )
+                else:
+                    values, terms, bg, ig = biased_value_and_grad_rows(
+                        block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot
+                    )
+                terms_mean += float(terms.mean())
+                # the batch mean of the negated sum
+                bg.scale_(-inv_n)
+            logdet_sum += values
+            cot = cot - ig
+            grads[idx] = bg
 
     loss = float(np.mean(-base - logdet_sum))
     aux = {

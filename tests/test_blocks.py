@@ -514,10 +514,14 @@ class TestWorkBuffers:
         params = make_block(seed=20, hidden=16)
         X = np.random.default_rng(21).standard_normal((9, 2))
 
-        def worker_pool():
-            return blocks.on_worker(lambda: pool_buffers()).result()
+        def on_worker(fn):
+            with blocks.series_worker() as submit:
+                return submit(fn).result()
 
-        blocks.on_worker(lambda: block_jvp(params, X, X)).result()
+        def worker_pool():
+            return on_worker(pool_buffers)
+
+        on_worker(lambda: block_jvp(params, X, X))
         block_jvp(params, X, X)
         assert worker_pool() and pool_buffers()
         release_workspace()

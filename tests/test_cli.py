@@ -96,7 +96,7 @@ class TestTrain:
         threads, which changes its summation order; ``lr=0.05`` rescales
         layers from the first step, so the constraint's gradient is on the
         path too.  The unbiased gradient now runs at one BLAS thread either
-        way (``blocks.one_blas_thread``), so here only the rest of the step
+        way (``blocks.series_worker``), so here only the rest of the step
         sees two; ``tests/test_train.py::TestBlasScope`` keeps the gradient
         at two threads covered: without the setter it runs on the caller
         with BLAS at 2 threads and must give the worker's bytes.
@@ -261,6 +261,17 @@ class TestGrid:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "arg",
+        ["--resolution=0,5", "--bounds=4,-4,-4,4", "--bounds=-inf,4,-4,4", "--bounds=-1e308,1e308,-4,4"],
+        ids=["zero_resolution", "reversed_bounds", "infinite_bounds", "infinite_width"],
+    )
+    def test_empty_grid_exits_2_without_output(self, empty_model_checkpoint, tmp_path, arg):
+        out = tmp_path / "x"
+        code = run_cli("grid", "--checkpoint", str(empty_model_checkpoint), arg, "--out-dir", str(out))
+        assert code == 2
+        assert not out.exists()
+
 
 class TestEval:
     def test_eval_record(self, tiny_run, tmp_path, capsys):
@@ -313,6 +324,17 @@ class TestEval:
         code = run_cli("eval", "--checkpoint", str(ckpt), "--out-dir", str(out))
         assert code == 2
         assert "norm orders" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_eval", ["0", "-3", "1"])
+    def test_fewer_than_two_points_exit_2_without_output(self, tiny_run, tmp_path, n_eval):
+        """One point has no standard error, none no mean."""
+        out = tmp_path / "ev"
+        code = run_cli(
+            "eval", "--checkpoint", str(tiny_run / "checkpoint_final.txt"),
+            "--n-eval", n_eval, "--out-dir", str(out),
+        )
+        assert code == 2
         assert not out.exists()
 
 
@@ -423,4 +445,21 @@ class TestDiagnose:
         assert not out.exists()
         out = tmp_path / "diag"
         assert run_cli("diagnose", "--threads", "0", "--n-samples", "100", "--out-dir", str(out)) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--at", "1,2,3"],
+            ["--n-samples", "0"],
+            ["--n-samples", "1"],
+            ["--coeffs", "0.5,1.5"],
+            ["--coeffs", "0"],
+            ["--arch", "mlp", "--hidden", "0"],
+        ],
+        ids=["at_wrong_dim", "no_samples", "one_sample", "coeff_above_1", "coeff_0", "no_hidden"],
+    )
+    def test_bad_input_exits_2_without_output(self, tmp_path, args):
+        out = tmp_path / "diag"
+        assert run_cli("diagnose", "--n-samples", "100", *args, "--out-dir", str(out)) == 2
         assert not out.exists()

@@ -391,23 +391,78 @@ class TestUnbiasedPipeline:
         got = log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(72))
         assert_same_bits(got, want)
 
+    def test_caller_error_waits_for_the_running_series(self, monkeypatch):
+        """A later block's forward fails on the calling thread while an earlier
+        block's series runs on the worker: the error reaches the caller, no
+        series ends after it, BLAS is back at its count, and the next call
+        has its sequential bytes."""
+        import threading
+        import time
+
+        import resflow.blocks as blocks
+        import resflow.logdet as logdet
+
+        setter = blocks._blas_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS with a thread-count setter")
+        model, cfg = data_model(3), EstimatorConfig()
+        X = np.random.default_rng(73).standard_normal((6, 2))
+        real_series, real_forward = logdet._series, logdet.block_forward_cache
+        spans, forwards = [], []  # (start, end) of every series on the worker
+        running = threading.Event()
+
+        def slow_on_worker(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                return real_series(*args, **kwargs)
+            start = time.perf_counter()
+            running.set()
+            try:
+                time.sleep(0.2)
+                return real_series(*args, **kwargs)
+            finally:
+                spans.append((start, time.perf_counter()))
+
+        def third_forward_fails(*args, **kwargs):
+            forwards.append(1)
+            if len(forwards) == 3:
+                assert running.wait(timeout=10)  # block 0's series is on the worker
+                raise FloatingPointError("planted")
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(logdet, "_series", slow_on_worker)
+        monkeypatch.setattr(logdet, "block_forward_cache", third_forward_fails)
+        before = setter(2)
+        try:
+            with pytest.raises(FloatingPointError, match="planted"):
+                log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(74))
+            raised = time.perf_counter()
+            time.sleep(0.3)  # a job left running would end now
+            assert len(spans) == 1 and spans[0][1] <= raised
+            count = setter(1)
+            assert count == 2
+        finally:
+            setter(before)
+        monkeypatch.undo()
+        want = sequential_density(model, X, cfg, np.random.default_rng(75))
+        got = log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=np.random.default_rng(75))
+        assert_same_bits(got, want)
+
     def test_exact_mode_and_biased_training_hand_the_worker_nothing(self, monkeypatch):
         """Exact mode and biased training run on the caller; unbiased training
-        hands the worker each block's series once a step."""
+        hands the worker each block's series once a step.  Every ``submit`` of
+        a ``blocks.series_worker`` scope goes through ``blocks._submit``, so
+        the count holds whatever name a module imports the scope under."""
         import resflow.blocks as blocks
-        import resflow.flow as flow
-        import resflow.train as train
         from resflow.config import TrainConfig
         from resflow.train import init_train_state, train_step
 
-        handed, real = [], blocks.on_worker
+        handed, real = [], blocks._submit
 
-        def counted(fn):
+        def counted(fn, jobs):
             handed.append(fn)
-            return real(fn)
+            return real(fn, jobs)
 
-        for module in (blocks, flow, train):
-            monkeypatch.setattr(module, "on_worker", counted)
+        monkeypatch.setattr(blocks, "_submit", counted)
         log_density_batch(data_model(3), np.zeros((4, 2)), mode="exact")
         for kind in ("biased", "unbiased"):
             state = init_train_state(TrainConfig(blocks=2, hidden=8, batch_size=64, eval_every=1000,

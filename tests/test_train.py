@@ -297,6 +297,39 @@ class TestSeriesQueue:
         want = sequential_nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(72))
         assert_same_step(nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(72)), want)
 
+    def test_caller_error_cancels_the_queued_series(self, monkeypatch, blas_at_two):
+        """The reverse pass of the first block the sweep reaches fails on the
+        calling thread while the other blocks' series are queued: the error
+        reaches the caller, no series ends after it, BLAS is back at its
+        count, and the next step has its sequential bytes."""
+        model, cfg = data_model(5), EstimatorConfig(n_hutchinson=2)
+        X = np.random.default_rng(74).standard_normal((32, 2))
+        real, spans = logdet._series, []  # (start, end) of every series that ran
+
+        def slow(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                time.sleep(0.05)
+                return real(*args, **kwargs)
+            finally:
+                spans.append((start, time.perf_counter()))
+
+        def fails_on_the_caller(*args, **kwargs):
+            assert threading.current_thread() is threading.main_thread()
+            raise FloatingPointError("planted")
+
+        monkeypatch.setattr(logdet, "_series", slow)
+        monkeypatch.setattr(logdet, "bilinear_param_grad", fails_on_the_caller)
+        with pytest.raises(FloatingPointError, match="planted"):
+            nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(75))
+        raised = time.perf_counter()
+        time.sleep(0.3)  # a job left queued would run now
+        assert spans and all(end <= raised for _, end in spans)
+        assert blas_threads(blas_at_two) == 2
+        monkeypatch.undo()
+        want = sequential_nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(76))
+        assert_same_step(nll_and_grad(model, X, "unbiased", cfg, np.random.default_rng(76)), want)
+
     def test_trainers_at_once_get_their_sequential_bytes(self, monkeypatch):
         """More trainers than cores share the one worker, with the interpreter
         switching threads every microsecond: each gets its own bytes."""

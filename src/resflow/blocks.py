@@ -6,18 +6,19 @@ with LipSwish activations ``z sigmoid(beta z) / 1.1`` between linear layers
 needs from ``g`` is exposed as an explicit function:
 
 * ``block_forward``       -- g(x)
-* ``block_forward_cache`` -- g(x), keeping each hidden layer's ``z`` and
-  ``s = sigmoid(beta z)``, and ``derive_cache``, which forms the kernel
-  weights and slopes from those two
+* ``block_forward_cache`` -- g(x) and its :class:`BlockCache`, the one
+  cache type: each hidden layer's ``z`` and ``s = sigmoid(beta z)``, to
+  which ``derive_cache`` adds the kernel weights and slopes formed from them
 * ``block_jvp``           -- J_g(x) v
 * ``block_vjp``           -- J_g(x)^T u
 * ``block_dense_jacobian``-- the full d x d Jacobian (small-d oracle)
-* ``block_param_grad``    -- d/dtheta and d/dx of
-  ``sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``: the one reverse pass, fusing
-  the pathwise term with the second-order log-det term
-* ``bilinear_param_grad`` -- d/dtheta [w^T J_g(x) v], optionally plus the
-  pathwise term (a call of ``block_param_grad``)
-* ``block_param_grad_of_output`` -- d/dtheta [u^T g(x)] (likewise)
+* ``bilinear_param_grad`` -- the one reverse pass: d/dtheta and d/dx of
+  ``sum_i out_cot_i . g(x_i) + w_i^T J_g(x_i) v_i``, fusing the pathwise
+  term with the second-order log-det term, and ``J_g(x) v``; always
+  ``(grads, input_grad, jvp)``
+* ``block_param_grad_of_output`` -- d/dtheta [u^T g(x)] and J_g(x)^T u
+  (a call of ``bilinear_param_grad``)
+* ``bilinear_param_grad_per_sample`` -- the bilinear term's per-row gradients
 
 Derivatives are hand-derived per layer rather than taped: the chain is
 short and fixed-shape, and writing it out makes the retained-state
@@ -87,7 +88,7 @@ import functools
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -270,46 +271,33 @@ def grads_vector(grads: BlockGrads) -> np.ndarray:
 
 @dataclass
 class BlockCache:
-    """What a block forward keeps for its derivatives: two arrays per hidden layer.
+    """What a block forward keeps for its derivatives, and what is derived from it.
 
     ``x`` is the block's input batch, ``pre[l]`` hidden layer l's
     pre-activation ``z`` and ``act[l]`` its logistic ``s = sigmoid(beta z)``,
-    ``betas[l]`` the positive activation parameters.  Everything else the
-    kernels read is formed from these, one block at a time: the slopes by
-    :func:`derive_cache`, the rest inside the reverse pass.  ``slot`` is the
-    pool slot holding ``pre`` and ``act``, None for fresh arrays.
-    """
+    ``betas[l]`` the positive activation parameters, and ``slot`` the pool
+    slot holding ``pre`` and ``act``, None for fresh arrays.
 
-    x: np.ndarray
-    pre: list[np.ndarray]
-    act: list[np.ndarray]
-    betas: list[float]
-    slot: object = None
-
-
-@dataclass
-class DerivedCache:
-    """What the JVP/VJP chains and the reverse pass read.
-
-    ``weights[l]`` is layer l's weight as the kernels multiply it: the
-    first layer's as it is, each later one, which reads an activation,
+    :func:`derive_cache` fills in ``weights`` and ``slope``, None until
+    then.  ``weights[l]`` is layer l's weight as the kernels multiply it:
+    the first layer's as it is, each later one, which reads an activation,
     divided by 1.1 (the LipSwish scale, paid once per derivation instead
     of once per activation).  The activation a layer hands on is then
     ``z s``, and ``slope[l]`` hidden layer l's ``d(z s)/dz = s (1 + t (1 - s))``
-    with ``t = beta z``.  ``x``, ``pre``, ``act`` and ``betas`` are the
-    forward cache's; the reverse pass forms ``z s``, ``sd1 z = z s (1 - s)``
-    and the slope's t-derivative from them right before the layer that
-    reads them.  The chains read ``weights`` and ``slope`` alone, all a
-    slopes-only derivation keeps, and ``rows``: given it, row i of a chain
-    reads slope row ``rows[i]`` (see :func:`_chain`).
+    with ``t = beta z``.  The reverse pass forms ``z s``, ``sd1 z = z s (1 - s)``
+    and the slope's t-derivative from ``pre`` and ``act`` right before the
+    layer that reads them.  The JVP/VJP chains read ``weights`` and
+    ``slope`` alone, all a slopes-only forward keeps, and ``rows``: given
+    it, row i of a chain reads slope row ``rows[i]`` (see :func:`_chain`).
     """
 
-    weights: list[np.ndarray] = field(default_factory=list)
-    slope: list[np.ndarray] = field(default_factory=list)
-    betas: list[float] = field(default_factory=list)
     x: np.ndarray | None = None
     pre: list[np.ndarray] = field(default_factory=list)
     act: list[np.ndarray] = field(default_factory=list)
+    betas: list[float] = field(default_factory=list)
+    slot: object = None
+    weights: list[np.ndarray] | None = None
+    slope: list[np.ndarray] | None = None
     rows: np.ndarray | None = None
 
 
@@ -469,12 +457,11 @@ def block_forward_cache(params: BlockParams, x: np.ndarray, slot=None, slopes_on
     the block's position), ``z`` and ``s`` go into that slot's pool buffers
     and the kernel weights into the pool too: the cache is then valid
     until the next forward into the same slot.  Without one they are
-    fresh.  ``slopes_only`` returns, for the value routes and the kernels
-    given no cache, what ``derive_cache(params, cache, slopes_only=True)``
-    would, bit for bit: each layer's ``z`` and ``s`` live in the pool's two
-    work buffers until its slope is formed, and the kernel weights are made
-    once.  ``g(x)`` is a fresh array either way, bit for bit
-    :func:`block_forward`.
+    fresh.  ``slopes_only``, for the value routes and the kernels given no
+    cache, keeps the kernel weights and slopes alone, bit for bit those
+    :func:`derive_cache` forms: each layer's ``z`` and ``s`` live in the
+    pool's two work buffers until its slope is formed.  ``g(x)`` is a fresh
+    array either way, bit for bit :func:`block_forward`.
     """
     x, _ = _as_batch(params, x)
     n, shared = x.shape[0], slot is not None
@@ -501,7 +488,7 @@ def block_forward_cache(params: BlockParams, x: np.ndarray, slot=None, slopes_on
     g = h @ weights[-1].T
     g += params.layers[-1].bias
     if slopes_only:
-        return g, DerivedCache(weights=weights, slope=slopes, betas=betas)
+        return g, BlockCache(betas=betas, weights=weights, slope=slopes)
     return g, BlockCache(x=x, pre=pre, act=act, betas=betas, slot=slot)
 
 
@@ -515,31 +502,22 @@ def _slope(z: np.ndarray, s: np.ndarray, beta: float, out: np.ndarray) -> np.nda
     return d1
 
 
-def derive_cache(
-    params: BlockParams, cache: BlockCache | DerivedCache, slopes_only: bool = False
-) -> DerivedCache:
-    """The kernel weights and each hidden layer's slope (:func:`_slope`).
+def derive_cache(params: BlockParams, cache: BlockCache) -> BlockCache:
+    """A copy of ``cache`` with the kernel weights and each hidden layer's
+    slope (:func:`_slope`) filled in, or ``cache`` itself if it has them.
 
-    ``slopes_only`` keeps the weights and slopes alone, all the JVP/VJP
-    chains read, so ``z`` and ``s`` may be freed.  The arrays of a slot
-    cache go into the pool's one derived set all slots share, valid until
-    the next derivation of a slot cache; a fresh cache's are fresh.  A
-    :class:`DerivedCache` is returned as it is.
+    The arrays of a slot cache go into the pool's one derived set all slots
+    share, valid until the next derivation of a slot cache; a fresh cache's
+    are fresh.
     """
-    if isinstance(cache, DerivedCache):
+    if cache.weights is not None:
         return cache
     shared = cache.slot is not None
     slopes = [
         _slope(z, s, beta, out=_buffer(shared, ("slope", l), *z.shape))
         for l, (z, s, beta) in enumerate(zip(cache.pre, cache.act, cache.betas))
     ]
-    weights = _kernel_weights(params, "weight" if shared else None)
-    if slopes_only:
-        return DerivedCache(weights=weights, slope=slopes, betas=cache.betas)
-    return DerivedCache(
-        weights=weights, slope=slopes, betas=cache.betas,
-        x=cache.x, pre=cache.pre, act=cache.act,
-    )
+    return replace(cache, weights=_kernel_weights(params, "weight" if shared else None), slope=slopes)
 
 
 def block_forward(params: BlockParams, x: np.ndarray) -> np.ndarray:
@@ -562,14 +540,15 @@ def block_forward(params: BlockParams, x: np.ndarray) -> np.ndarray:
     return h[0] if squeeze else h
 
 
-Cache = BlockCache | DerivedCache | None
+Cache = BlockCache | None
 
 
-def _cache_for(params: BlockParams, x: np.ndarray, cache: Cache, slopes_only=False) -> DerivedCache:
-    """``cache`` derived (:func:`derive_cache`), from a fresh forward of ``x`` if None."""
+def _cache_for(params: BlockParams, x: np.ndarray, cache: Cache, slopes_only=False) -> BlockCache:
+    """``cache`` derived (:func:`derive_cache`), from a fresh forward of ``x``
+    if None: a slopes-only one for ``slopes_only``."""
     if cache is None:
         _, cache = block_forward_cache(params, x, slopes_only=slopes_only)
-    return derive_cache(params, cache, slopes_only)
+    return derive_cache(params, cache)
 
 
 def _chain(t: np.ndarray, mats, slopes, rows=None) -> np.ndarray:
@@ -639,10 +618,10 @@ def block_dense_jacobian(params: BlockParams, x: np.ndarray, cache: Cache = None
 # -- reverse pass: parameter and input gradients ---------------------------
 
 
-def _reverse(cache: DerivedCache, u, w, v, per_row: bool):
-    """The reverse pass of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
+def _reverse(cache: BlockCache, out_cot, w, v, per_row: bool):
+    """The reverse pass of ``s = sum_i out_cot_i . g(x_i) + w_i^T J_g(x_i) v_i``.
 
-    ``u`` (the pathwise term) or ``w, v`` (the bilinear term) may be None.
+    ``out_cot`` (the pathwise term) or ``w, v`` (the bilinear term) may be None.
     Runs the tangent chain of ``v`` up the block, then walks the layers
     down and yields, per layer l from the top, ``(l, zbar, inp, pi, tau,
     dbeta)``:
@@ -669,7 +648,7 @@ def _reverse(cache: DerivedCache, u, w, v, per_row: bool):
         for l in range(top):
             kappa[l] = tau[l] @ weights[l].T
             tau[l + 1] = kappa[l] * slopes[l]
-    zbar, pi, inp = u, w, layer_input(top)
+    zbar, pi, inp = out_cot, w, layer_input(top)
     yield top, zbar, inp, pi, tau[top], None
     for l in range(top - 1, -1, -1):
         z, s, slope = cache.pre[l], cache.act[l], slopes[l]
@@ -719,33 +698,36 @@ def _rows(a: np.ndarray, n: int) -> np.ndarray:
     return a if a.shape[0] == n else np.broadcast_to(a, (n, a.shape[1]))
 
 
-def block_param_grad(
+def bilinear_param_grad(
     params: BlockParams,
     x: np.ndarray,
-    u: np.ndarray | None = None,
     w: np.ndarray | None = None,
     v: np.ndarray | None = None,
     cache: Cache = None,
-    return_jvp: bool = False,
+    out_cot: np.ndarray | None = None,
 ):
-    """Gradient of ``s = sum_i u_i . g(x_i) + w_i^T J_g(x_i) v_i``.
+    """Gradient of ``s = sum_i out_cot_i . g(x_i) + w_i^T J_g(x_i) v_i``.
 
-    The one reverse pass of the block.  In unbiased training ``u`` is the
-    cotangent of the block output and ``w`` the Neumann cotangent of the
-    probe ``v``, so the pathwise and the log-det gradient come out of a
-    single traversal: both terms share each layer's pre-activation
-    cotangent, hence one product carries it down and one product gives
-    its weight gradient.  The bilinear term adds the tangent chain of
-    ``v``, the cotangent chain of ``w`` and the activation's second
-    derivative, since the Jacobian already contains its first.  Either
-    term may be left out (None).  Returns (parameter gradient summed over
-    rows, ``(n, d)`` gradient in ``x``), and with ``return_jvp`` (which
-    needs ``w, v``) the tangent chain's output ``J_g(x) v`` third.
+    The one reverse pass of the block.  In unbiased training ``w`` is the
+    Neumann cotangent of the probe ``v``, which turns the series into a
+    parameter gradient without differentiating through its accumulation,
+    and ``out_cot`` the cotangent of the block output, so the log-det and
+    the pathwise gradient come out of a single traversal: both terms share
+    each layer's pre-activation cotangent, hence one product carries it
+    down and one product gives its weight gradient.  The bilinear term adds
+    the tangent chain of ``v``, the cotangent chain of ``w`` and the
+    activation's second derivative, since the Jacobian already contains its
+    first.  Either term may be left out (None).  Returns ``(grads,
+    input_grad, jvp)``: the parameter gradient summed over rows, the
+    ``(n, d)`` gradient in ``x``, which the training loop backpropagates
+    into upstream layers, and the tangent chain's output ``J_g(x) v``,
+    None without ``w``.
     """
-    cache, (u, w, v) = _probe_rows(params, x, cache, u, w, v)
-    n = (u if u is not None else w).shape[0]
+    cache, (out_cot, w, v) = _probe_rows(params, x, cache, out_cot, w, v)
+    n = (out_cot if out_cot is not None else w).shape[0]
     grads, xbar, jvp = BlockGrads(params), None, None
-    for l, zbar, inp, pi, tau, dbeta in _reverse(cache, u, w, v, per_row=False):
+    top = len(grads.layers) - 1
+    for l, zbar, inp, pi, tau, dbeta in _reverse(cache, out_cot, w, v, per_row=False):
         weight, bias, raw_beta = grads.layers[l]
         if zbar is not None:
             np.matmul(zbar.T, _rows(inp, n), out=weight)
@@ -754,7 +736,7 @@ def block_param_grad(
             weight += pi.T @ tau
         if l > 0:
             weight /= LIPSWISH_SCALE
-        if return_jvp and l == len(grads.layers) - 1:
+        if l == top and tau is not None:
             jvp = tau @ cache.weights[l].T
         if dbeta is not None:
             raw_beta[...] = dbeta * beta_raw_chain(params.layers[l].raw_beta)
@@ -762,74 +744,33 @@ def block_param_grad(
             xbar = zbar @ cache.weights[0]
     if xbar is None:
         xbar = np.zeros((n, params.dim))
-    return (grads, xbar, jvp) if return_jvp else (grads, xbar)
+    return grads, xbar, jvp
 
 
-def block_param_grad_of_output(
-    params: BlockParams,
-    x: np.ndarray,
-    u: np.ndarray,
-    cache: Cache = None,
-    return_vjp: bool = False,
-):
-    """Gradient of ``u . g(x)`` with respect to every block parameter.
-
-    The pathwise term of :func:`block_param_grad` alone.  With
-    ``return_vjp`` the input cotangent ``J_g(x)^T u`` comes back too.
-    Batched inputs are summed over the batch.
-    """
-    grads, vjp = block_param_grad(params, x, u=u, cache=cache)
-    if return_vjp:
-        return grads, (vjp[0] if np.ndim(u) == 1 and vjp.shape[0] == 1 else vjp)
-    return grads
-
-
-def bilinear_param_grad(
-    params: BlockParams,
-    x: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    cache: Cache = None,
-    want_input_grad: bool = False,
-    out_cot: np.ndarray | None = None,
-    return_jvp: bool = False,
-):
-    """Gradient of the scalar ``s = u^T J_g(x) v`` in all block parameters.
-
-    This is the primitive that turns an accumulated Neumann cotangent into
-    a parameter gradient without differentiating through the series
-    accumulation.  With ``out_cot`` the pathwise term ``out_cot . g(x)`` is
-    added to ``s`` and shares the reverse pass (:func:`block_param_grad`).
-    With ``want_input_grad`` the ``(n, d)`` gradient of ``s`` with respect
-    to ``x`` is also returned, which the training loop backpropagates into
-    upstream layers; with ``return_jvp`` the ``(n, d)`` tangents ``J_g(x) v``
-    come last.  Batched ``u, v`` are summed over the batch.
-    """
-    grads, input_grad, *jvp = block_param_grad(
-        params, x, u=out_cot, w=u, v=v, cache=cache, return_jvp=return_jvp
-    )
-    out = (grads, input_grad) if want_input_grad else (grads,)
-    out += tuple(jvp)
-    return out if len(out) > 1 else grads
+def block_param_grad_of_output(params: BlockParams, x: np.ndarray, u: np.ndarray, cache: Cache = None):
+    """``(grads, vjp)``: the gradient of ``u . g(x)``, summed over a batch, in
+    every block parameter, and the ``(n, d)`` input cotangent ``J_g(x)^T u``;
+    the pathwise term of :func:`bilinear_param_grad` alone."""
+    return bilinear_param_grad(params, x, cache=cache, out_cot=u)[:2]
 
 
 def bilinear_param_grad_per_sample(
     params: BlockParams,
     x: np.ndarray,
-    u: np.ndarray,
+    w: np.ndarray,
     v: np.ndarray,
     cache: Cache = None,
 ) -> np.ndarray:
-    """Per-sample gradients of ``u_i^T J_g(x) v_i`` as an (n, P) matrix.
+    """Per-sample gradients of ``w_i^T J_g(x) v_i`` as an (n, P) matrix.
 
     Materializes the rank-2 per-sample weight gradients, so it is meant
     for small blocks (Monte-Carlo statistics in tests/diagnostics).
     """
-    cache, (u, v) = _probe_rows(params, x, cache, u, v)
-    n = u.shape[0]
+    cache, (w, v) = _probe_rows(params, x, cache, w, v)
+    n = w.shape[0]
     per_sample = np.zeros((n, param_count(params)))
     views = _views(params, per_sample)
-    for l, zbar, inp, pi, tau, dbeta in _reverse(cache, None, u, v, per_row=True):
+    for l, zbar, inp, pi, tau, dbeta in _reverse(cache, None, w, v, per_row=True):
         weight, bias, raw_beta = views[l]
         np.multiply(pi[:, :, None], tau[:, None, :], out=weight)
         if zbar is not None:

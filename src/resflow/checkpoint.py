@@ -93,7 +93,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path):
-    """Returns (model, meta dict, arrays dict)."""
+    """Returns (model, meta dict, arrays dict).
+
+    A file that is missing, or that does not parse into a valid model and
+    arrays, is a ``ConfigError`` naming it.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"checkpoint file not found: {path}")
@@ -108,12 +112,12 @@ def load_checkpoint(path: str | Path):
         kv[key] = value
     try:
         model = _model_from_kv(kv)
-    except ShapeError as exc:
-        raise ConfigError(f"checkpoint {path} holds an invalid model: {exc}") from exc
+        arrays = {
+            k[len("array.") :]: _parse_floats(v) for k, v in kv.items() if k.startswith("array.")
+        }
+    except (ConfigError, ShapeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path} is not valid: {exc}") from exc
     meta = {k[len("meta.") :]: v for k, v in kv.items() if k.startswith("meta.")}
-    arrays = {
-        k[len("array.") :]: _parse_floats(v) for k, v in kv.items() if k.startswith("array.")
-    }
     return model, meta, arrays
 
 

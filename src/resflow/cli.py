@@ -223,13 +223,16 @@ def cmd_eval(args, overrides) -> int:
 def cmd_sample(args, overrides) -> int:
     if args.n < 0:
         raise ConfigError("--n must be non-negative")
+    name = args.out or "samples.csv"
+    if Path(name).name != name or name == "..":
+        raise ConfigError(f"--out must be a file name inside --out-dir, got {name!r}")
     model, _ = load_state_checkpoint(args.checkpoint)
     out = resolve_out_dir(args)
     seed = args.seed if args.seed is not None else 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 404]))
     points = sample(model, rng, args.n)
     lines = ["x,y"] + [f"{float(p[0])!r},{float(p[1])!r}" for p in points]
-    target = out / (args.out or "samples.csv")
+    target = out / name
     target.write_text("\n".join(lines) + "\n")
     if args.check_inverse:
         if args.n == 0:
@@ -275,15 +278,16 @@ def cmd_grid(args, overrides) -> int:
 # -- diagnose ----------------------------------------------------------------
 
 
-def _diagnose_block(args, coeff: float) -> BlockParams:
-    """Matched test block at the requested coefficient.
+def _diagnose_block(args) -> BlockParams:
+    """The sweep's test block, before the constraint rescales a copy of it
+    to each coefficient.
 
-    The same base weights are reused for every coefficient and rescaled
-    by the constraint, so the sweep isolates the effect of the Lipschitz
-    bound.  ``linear`` is a single d x d layer with a positive-definite
-    weight in a random basis, so the Jacobian spectrum sits at the
-    coefficient itself and the series truncation error is visible rather
-    than rotation-cancelled; ``mlp`` is the standard 3-layer branch.
+    Every coefficient starts from the same base weights, so the sweep
+    isolates the effect of the Lipschitz bound.  ``linear`` is a single
+    d x d layer with a positive-definite weight in a random basis, so the
+    Jacobian spectrum sits at the coefficient itself and the series
+    truncation error is visible rather than rotation-cancelled; ``mlp`` is
+    the standard 3-layer branch.
     """
     spec_seed = args.seed if args.seed is not None else 0
     if args.checkpoint is not None:
@@ -293,19 +297,14 @@ def _diagnose_block(args, coeff: float) -> BlockParams:
             raise ConfigError("checkpoint has no residual blocks to diagnose")
         if not (0 <= args.block_index < len(blocks)):
             raise ConfigError(f"--block-index out of range (0..{len(blocks) - 1})")
-        params = blocks[args.block_index].params.copy()
-    elif args.arch == "linear":
+        return blocks[args.block_index].params
+    if args.arch == "linear":
         rng = np.random.default_rng(np.random.SeedSequence([spec_seed, 71]))
         basis, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         w = 1.5 * basis @ np.diag([1.0, 0.7]) @ basis.T
-        params = BlockParams(
-            layers=[LayerParams(weight=w, bias=np.zeros(2), raw_beta=None)]
-        )
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([spec_seed, 72]))
-        params = init_block_params(rng, 2, hidden=args.hidden, init_norm_fraction=1.5)
-    checkpoint_constraint(params, coeff)
-    return params
+        return BlockParams(layers=[LayerParams(weight=w, bias=np.zeros(2), raw_beta=None)])
+    rng = np.random.default_rng(np.random.SeedSequence([spec_seed, 72]))
+    return init_block_params(rng, 2, hidden=args.hidden, init_norm_fraction=1.5)
 
 
 def _mc_chunks(fn, n_samples: int, threads: int, seed_key: list[int], chunk: int = 10_000):
@@ -335,11 +334,13 @@ def cmd_diagnose(args, overrides) -> int:
     if not all(0.0 < c < 1.0 for c in coeffs):
         raise ConfigError(f"each --coeffs value must lie in (0, 1), got {args.coeffs}")
     seed = args.seed if args.seed is not None else 0
+    base = _diagnose_block(args)
+    if x.size != base.dim:
+        raise ConfigError(f"--at must have {base.dim} coordinates, got {args.at}")
     rows = ["coeff,estimator,mc_mean,exact,bias,se,mean_terms"]
     for coeff in coeffs:
-        params = _diagnose_block(args, coeff)
-        if x.size != params.dim:
-            raise ConfigError(f"--at must have {params.dim} coordinates, got {args.at}")
+        params = base.copy()
+        checkpoint_constraint(params, coeff)
         exact = float(exact_logdet(params, x))
         for est_idx, name in enumerate(DIAGNOSE_ESTIMATORS):
             if name == "unbiased":

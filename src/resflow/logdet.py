@@ -43,7 +43,6 @@ from resflow.blocks import (
     BlockCache,
     BlockGrads,
     BlockParams,
-    DerivedCache,
     bilinear_param_grad,
     bilinear_param_grad_per_sample,
     block_dense_jacobian,
@@ -193,7 +192,7 @@ def exact_logdet_grad(
         e = np.zeros((xb.shape[0], d))
         e[:, b] = 1.0
         u = np.linalg.solve(a_t, e[..., None])[..., 0]
-        g, ig = bilinear_param_grad(params, xb, u, e, cache=cache, want_input_grad=True)
+        g, ig, _ = bilinear_param_grad(params, xb, u, e, cache=cache)
         grads.add_(g)
         input_grad += ig
     if want_input_grad:
@@ -265,7 +264,7 @@ def _series(params, cache, v, K, val_coefs, grad_coefs=None):
     gathers the slope rows of its prefix into an idle work buffer
     (``blocks._chain``); every step works in the pool's buffers.
     """
-    cache = derive_cache(params, cache, slopes_only=True)
+    cache = derive_cache(params, cache)
     points = len(cache.slope[0]) if cache.slope else 1
     if len(v) % points:
         raise ShapeError(f"{len(v)} probe rows do not divide among {points} cache points")
@@ -297,14 +296,14 @@ def _series(params, cache, v, K, val_coefs, grad_coefs=None):
     rows = None if points == 1 else tail // (len(v) // points)
     for k in range(lead + 1, int(ks.max(initial=0)) + 1):
         m = int(np.searchsorted(-ks, -k, side="right"))
-        prefix = DerivedCache(weights=cache.weights, slope=cache.slope,
-                              rows=None if rows is None else rows[:m])
+        prefix = BlockCache(weights=cache.weights, slope=cache.slope,
+                            rows=None if rows is None else rows[:m])
         cur = step(params, None, cur[:m], cache=prefix)
         add(k, tail[:m], vs[:m], cur)
     return values, w, last
 
 
-def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None, out_cot=None):
+def _differentiated_series(params, x, v, coefs, cache: BlockCache, meter=None, out_cot=None):
     """Per-row values of ``sum_k coefs[k-1] v_i^T J^k v_i``, and its gradients.
 
     ``d(v^T J^k v)/dtheta`` expands into k bilinear forms pairing the
@@ -330,9 +329,8 @@ def _differentiated_series(params, x, v, coefs, cache: DerivedCache, meter=None,
         weighted = np.zeros_like(v)
         for j in range(n_terms - m):
             weighted += coefs[m + j] * forward[j]
-        g, ig = bilinear_param_grad(
-            params, x, backward[m], weighted, cache=cache, want_input_grad=True,
-            out_cot=out_cot if m == 0 else None,
+        g, ig, _ = bilinear_param_grad(
+            params, x, backward[m], weighted, cache=cache, out_cot=out_cot if m == 0 else None
         )
         grads.add_(g)
         input_grad += ig
@@ -431,7 +429,7 @@ def neumann_logdet_grad(
     cache = derive_cache(params, cache)
     v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, cfg.n_hutchinson, force_n=force_n)
     _, w, _ = _series(params, cache, v, K, None, grad_coefs)
-    grads, input_grad = bilinear_param_grad(params, x, w, v, cache=cache, want_input_grad=True)
+    grads, input_grad, _ = bilinear_param_grad(params, x, w, v, cache=cache)
     grads.scale_(1.0 / cfg.n_hutchinson)
     meter.release(held)
     return (grads, input_grad.mean(axis=0)) if want_input_grad else grads
@@ -484,7 +482,7 @@ def neumann_grad_exact_trace(params: BlockParams, x: np.ndarray, n_terms: int) -
     cache = derive_cache(params, cache)
     probes, K = np.eye(params.dim), np.full(params.dim, n_terms)
     _, w, _ = _series(params, cache, probes, K, None, _coefficients(n_terms)[1])
-    return bilinear_param_grad(params, x, w, probes, cache=cache)
+    return bilinear_param_grad(params, x, w, probes, cache=cache)[0]
 
 
 def neumann_grad_samples(
@@ -558,9 +556,7 @@ def _value_and_grad_rows(params, X, cfg, rng, cache, out_cot=None, biased=False,
         values, grads, input_grad = _differentiated_series(params, X, v, coefs[0], cache, out_cot=out_cot)
     else:
         v, K, val_coefs, values, w, last = series.result()
-        grads, input_grad, jvp = bilinear_param_grad(
-            params, X, w, v, cache=cache, want_input_grad=True, out_cot=out_cot, return_jvp=True
-        )
+        grads, input_grad, jvp = bilinear_param_grad(params, X, w, v, cache=cache, out_cot=out_cot)
         # each row's last value term, v^T J^K v = ((J^T)^(K-1) v) . (J v)
         values += val_coefs[K - 1] * np.einsum("ij,ij->i", last, jvp)
     grads.scale_(1.0 / nh)

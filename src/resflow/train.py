@@ -8,7 +8,7 @@ truncation differentiated term by term, or the dense exact oracle.  Both
 parts propagate input cotangents upstream, so downstream blocks'
 log-determinants correctly contribute gradient to upstream parameters.
 In the stochastic modes the pathwise part rides the log-det's reverse
-pass (``blocks.block_param_grad``), the first one in biased mode.  The
+pass (``blocks.bilinear_param_grad``), the first one in biased mode.  The
 forward keeps two arrays per hidden layer and block, in buffers reused
 from step to step; the kernel weights and slopes the reverse pass reads
 are derived from them one block at a time, right before that block's
@@ -247,7 +247,7 @@ def nll_and_grad(
             block = lay.params
             if mode == "exact":
                 cache = derive_cache(block, caches[idx])
-                bg, vjp = block_param_grad_of_output(block, x_in, cot, cache=cache, return_vjp=True)
+                bg, vjp = block_param_grad_of_output(block, x_in, cot, cache=cache)
                 cot = cot + vjp
                 values = exact_logdet(block, x_in)
                 lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from resflow import blocks
 from resflow.blocks import (
+    BlockCache,
     BlockGrads,
     BlockParams,
-    DerivedCache,
     LayerParams,
     bilinear_param_grad,
     bilinear_param_grad_per_sample,
@@ -19,7 +19,6 @@ from resflow.blocks import (
     block_forward,
     block_forward_cache,
     block_jvp,
-    block_param_grad,
     block_param_grad_of_output,
     block_vjp,
     derive_cache,
@@ -199,9 +198,9 @@ class TestBilinearParamGrad:
     def test_zero_probe_gives_zero(self):
         params = make_block(seed=41)
         x = np.array([0.2, 0.8])
-        g = grads_vector(bilinear_param_grad(params, x, np.zeros(2), np.ones(2)))
+        g = grads_vector(bilinear_param_grad(params, x, np.zeros(2), np.ones(2))[0])
         np.testing.assert_array_equal(g, np.zeros_like(g))
-        g = grads_vector(bilinear_param_grad(params, x, np.ones(2), np.zeros(2)))
+        g = grads_vector(bilinear_param_grad(params, x, np.ones(2), np.zeros(2))[0])
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_linear_block_outer_product(self):
@@ -209,7 +208,7 @@ class TestBilinearParamGrad:
         params = linear_block(A)
         u = np.array([1.0, 2.0])
         v = np.array([-0.5, 3.0])
-        g = bilinear_param_grad(params, np.zeros(2), u, v)
+        g, _, _ = bilinear_param_grad(params, np.zeros(2), u, v)
         np.testing.assert_allclose(g.layers[0].weight, np.outer(u, v), rtol=1e-14)
 
     @pytest.mark.parametrize("n_layers,hidden", [(1, 2), (2, 6), (3, 8), (4, 5)])
@@ -225,7 +224,7 @@ class TestBilinearParamGrad:
         def bilinear(p):
             return float(u @ block_jvp(p, x, v))
 
-        analytic = grads_vector(bilinear_param_grad(params, x, u, v))
+        analytic = grads_vector(bilinear_param_grad(params, x, u, v)[0])
         fd = fd_param_gradient(params, bilinear, FD_STEP_SECOND)
         np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-9)
 
@@ -233,7 +232,7 @@ class TestBilinearParamGrad:
         params = make_block(seed=44)
         rng = np.random.default_rng(45)
         x, u, v = rng.standard_normal((3, 2))
-        _, ig = bilinear_param_grad(params, x, u, v, want_input_grad=True)
+        _, ig, _ = bilinear_param_grad(params, x, u, v)
         h = FD_STEP_SECOND
         fd = np.array(
             [
@@ -252,20 +251,20 @@ class TestBilinearParamGrad:
         V = rng.standard_normal((6, 2))
         per = bilinear_param_grad_per_sample(params, x, U, V)
         assert per.shape == (6, param_count(params))
-        total = grads_vector(bilinear_param_grad(params, x, U, V))
+        total = grads_vector(bilinear_param_grad(params, x, U, V)[0])
         np.testing.assert_allclose(per.sum(axis=0), total, rtol=1e-10, atol=1e-12)
 
 
 class TestOutputParamGrad:
     def test_zero_cotangent(self):
         params = make_block(seed=51)
-        g = grads_vector(block_param_grad_of_output(params, np.zeros(2), np.zeros(2)))
+        g = grads_vector(block_param_grad_of_output(params, np.zeros(2), np.zeros(2))[0])
         np.testing.assert_array_equal(g, np.zeros_like(g))
 
     def test_final_bias_gradient_is_cotangent(self):
         params = make_block(seed=52)
         u = np.array([0.3, -0.9])
-        g = block_param_grad_of_output(params, np.zeros(2), u)
+        g, _ = block_param_grad_of_output(params, np.zeros(2), u)
         np.testing.assert_allclose(g.layers[-1].bias, u, rtol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -276,20 +275,21 @@ class TestOutputParamGrad:
         def functional(p):
             return float(u @ block_forward(p, x))
 
-        analytic = grads_vector(block_param_grad_of_output(params, x, u))
+        analytic = grads_vector(block_param_grad_of_output(params, x, u)[0])
         fd = fd_param_gradient(params, functional, FD_STEP_FIRST)
         np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-10)
 
     def test_return_vjp_matches_block_vjp(self):
         params = make_block(seed=55)
         rng = np.random.default_rng(56)
-        x, u = rng.standard_normal((2, 2))
-        _, vjp = block_param_grad_of_output(params, x, u, return_vjp=True)
-        np.testing.assert_allclose(vjp, block_vjp(params, x, u), rtol=1e-12)
+        X, U = rng.standard_normal((2, 6, 2))
+        _, vjp = block_param_grad_of_output(params, X, U)
+        assert vjp.shape == (6, 2)
+        np.testing.assert_allclose(vjp, block_vjp(params, X, U), rtol=1e-12)
 
 
 class TestFusedReverse:
-    """``block_param_grad``: d/dtheta and d/dx of u . g(x) + w^T J_g(x) v."""
+    """``bilinear_param_grad``: d/dtheta and d/dx of u . g(x) + w^T J_g(x) v."""
 
     @pytest.mark.parametrize("n_layers,hidden", [(2, 6), (3, 8), (4, 5)])
     def test_matches_finite_differences(self, n_layers, hidden):
@@ -300,7 +300,7 @@ class TestFusedReverse:
         def functional(p, at=x):
             return float(u @ block_forward(p, at) + w @ block_jvp(p, at, v))
 
-        grads, xbar = block_param_grad(params, x, u=u, w=w, v=v)
+        grads, xbar, _ = bilinear_param_grad(params, x, w, v, out_cot=u)
         fd = fd_param_gradient(params, functional, FD_STEP_SECOND)
         np.testing.assert_allclose(grads_vector(grads), fd, rtol=1e-4, atol=1e-9)
         h = FD_STEP_SECOND
@@ -314,13 +314,16 @@ class TestFusedReverse:
         params = make_block(seed=75, hidden=7)
         rng = np.random.default_rng(76)
         X, U, W, V = rng.standard_normal((4, 5, 2))
-        fused, xbar = block_param_grad(params, X, u=U, w=W, v=V)
-        path, vjp = block_param_grad_of_output(params, X, U, return_vjp=True)
-        bil, ig = bilinear_param_grad(params, X, W, V, want_input_grad=True)
+        fused, xbar, jvp = bilinear_param_grad(params, X, W, V, out_cot=U)
+        path, vjp = block_param_grad_of_output(params, X, U)
+        bil, ig, bil_jvp = bilinear_param_grad(params, X, W, V)
+        assert bilinear_param_grad(params, X, out_cot=U)[2] is None  # no w, no tangents
         np.testing.assert_allclose(
             grads_vector(fused), grads_vector(path.add_(bil)), rtol=1e-12, atol=1e-14
         )
         np.testing.assert_allclose(xbar, vjp + ig, rtol=1e-12, atol=1e-14)
+        for tangents in (jvp, bil_jvp):
+            np.testing.assert_allclose(tangents, block_jvp(params, X, V), rtol=1e-12, atol=1e-14)
 
 
 def uneven_block():
@@ -389,9 +392,9 @@ class TestWorkBuffers:
         rng = np.random.default_rng(5)
         X, V = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
         _, cache = block_forward_cache(params, X)
-        derived = derive_cache(params, cache, slopes_only=True)
+        derived = derive_cache(params, cache)
         for m in (12, 5, 1):  # prefix slices of the cache, as the series loop takes them
-            prefix = DerivedCache(weights=derived.weights, slope=[s[:m] for s in derived.slope])
+            prefix = BlockCache(weights=derived.weights, slope=[s[:m] for s in derived.slope])
             for kernel in (block_jvp, block_vjp):
                 out = self.on_dirty_pool(lambda: kernel(params, None, V[:m], cache=prefix))
                 assert not np.shares_memory(out, V)
@@ -426,20 +429,16 @@ class TestWorkBuffers:
         params = uneven_block() if case == "uneven" else make_block(seed=10, n_layers=int(case[0]))
         X = np.random.default_rng(11).standard_normal((9, 2))
         _, cache = block_forward_cache(params, X)
-        full, lean = derive_cache(params, cache), derive_cache(params, cache, slopes_only=True)
-        assert len(lean.slope) == len(full.slope) and lean.betas == full.betas
-        for a, b in zip(lean.slope, full.slope):
-            assert_bits_equal(a, b)
-        for a, b in zip(lean.weights, full.weights):
-            assert_bits_equal(a, b)
-        assert lean.x is None and not (lean.pre or lean.act)
-        assert_bits_equal(block_dense_jacobian(params, X), block_dense_jacobian(params, X, cache=full))
+        derived = derive_cache(params, cache)
+        assert derive_cache(params, derived) is derived and cache.weights is None
+        assert_bits_equal(block_dense_jacobian(params, X), block_dense_jacobian(params, X, cache=derived))
         # the value routes' forward forms the same slopes, z and s passing through the work buffers
         g, fused = block_forward_cache(params, X, slopes_only=True)
         assert_bits_equal(self.on_dirty_pool(lambda: block_forward_cache(params, X, slopes_only=True)[0]), g)
         assert_bits_equal(g, block_forward(params, X))
-        assert fused.betas == lean.betas and not (fused.pre or fused.act)
-        for a, b in zip(fused.slope + fused.weights, lean.slope + lean.weights):
+        assert fused.x is None and not (fused.pre or fused.act) and fused.betas == derived.betas
+        assert len(fused.slope) == len(derived.slope) and len(fused.weights) == len(derived.weights)
+        for a, b in zip(fused.slope + fused.weights, derived.slope + derived.weights):
             assert_bits_equal(a, b)
 
     @pytest.mark.parametrize("slot", [None, "slot"], ids=["fresh", "workspace"])
@@ -503,8 +502,8 @@ class TestWorkBuffers:
         rng = np.random.default_rng(19)
         X, V = rng.standard_normal((points, 2)), rng.standard_normal((points * r, 2))
         _, cache = block_forward_cache(params, X, slopes_only=True)
-        repeated = DerivedCache(weights=cache.weights, slope=[np.repeat(s, r, axis=0) for s in cache.slope])
-        gathered = DerivedCache(weights=cache.weights, slope=cache.slope, rows=np.arange(points * r) // r)
+        repeated = BlockCache(weights=cache.weights, slope=[np.repeat(s, r, axis=0) for s in cache.slope])
+        gathered = BlockCache(weights=cache.weights, slope=cache.slope, rows=np.arange(points * r) // r)
         for kernel in (block_jvp, block_vjp):
             want = kernel(params, None, V, cache=repeated)
             assert_bits_equal(self.on_dirty_pool(lambda: kernel(params, None, V, cache=cache)), want)
@@ -598,14 +597,15 @@ class TestAgainstReference:
         assert_close(block_forward(params, X), g)
         assert_close(block_jvp(params, X, V), jvp)
         assert_close(block_vjp(params, X, U), vjp)
-        grads, got_xbar, got_jvp = block_param_grad(params, X, u=U, w=W, v=V, return_jvp=True)
+        grads, got_xbar, got_jvp = bilinear_param_grad(params, X, W, V, out_cot=U)
         assert_close(grads_vector(grads), per_row.sum(axis=0))
         assert_close(got_xbar, xbar)
         assert_close(got_jvp, jvp)
         assert_close(bilinear_param_grad_per_sample(params, X, W, V), bilinear_rows)
-        grads, got_xbar = bilinear_param_grad(params, X, W, V, want_input_grad=True)
+        grads, got_xbar, got_jvp = bilinear_param_grad(params, X, W, V)
         assert_close(grads_vector(grads), bilinear_rows.sum(axis=0))
         assert_close(got_xbar, bilinear_xbar)
+        assert_close(got_jvp, jvp)
 
     def test_saturated_logistic_stays_finite(self):
         """beta z from -2000 to 2000: the one-exponential logistic overflows
@@ -622,7 +622,7 @@ class TestAgainstReference:
             assert t.min() < -800 and t.max() > 800
             assert np.all(cache.act[0][t < -800] == 0.0) and np.all(cache.act[0][t > 800] == 1.0)
             outputs = [g, block_forward(params, X), block_jvp(params, X, V), block_vjp(params, X, U)]
-            grads, xbar, jvp = block_param_grad(params, X, u=U, w=W, v=V, return_jvp=True)
+            grads, xbar, jvp = bilinear_param_grad(params, X, W, V, out_cot=U)
             outputs += [grads_vector(grads), xbar, jvp, bilinear_param_grad_per_sample(params, X, W, V)]
         assert all(np.all(np.isfinite(a)) for a in outputs)
 

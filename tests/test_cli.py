@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from resflow import cli
 from resflow.cli import build_parser, build_train_config, main, parse_overrides
 from resflow.grid import read_grid_csv
 
@@ -209,6 +210,18 @@ class TestSample:
         line = [l for l in out.splitlines() if l.startswith("check_inverse_max_error=")][0]
         assert float(line.split("=")[1]) < 1e-7
 
+    @pytest.mark.parametrize("name", ["../../x.csv", "absolute"])
+    def test_out_with_a_directory_part_exits_2_without_output(self, tiny_run, tmp_path, name):
+        out = tmp_path / "deep" / "out"
+        target = tmp_path / "x.csv"
+        name = str(target) if name == "absolute" else name
+        code = run_cli(
+            "sample", "--checkpoint", str(tiny_run / "checkpoint_final.txt"),
+            "--n", "5", "--out", name, "--out-dir", str(out),
+        )
+        assert code == 2
+        assert not target.exists() and not (tmp_path / "deep").exists()
+
 
 class TestGrid:
     def test_empty_model_center_brightest(self, empty_model_checkpoint, tmp_path):
@@ -358,6 +371,26 @@ class TestCheckpointCommands:
         assert "polyak_decay" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "pattern, repl",
+        [
+            (r"^model\.dim = 2$", "model.dim = two"),
+            (r"^(model\.layer\.\d+\.sub\.0\.weight = \d+x\d+\|)[^,]+", r"\1zz"),
+            (r"^(model\.layer\.\d+\.sub\.0\.weight = )8x2\|", r"\g<1>9x2|"),
+            (r"^(array\.polyak\.shadow = )[^,]+", r"\1zz"),
+        ],
+        ids=["dim_not_int", "weight_not_float", "weight_shape", "shadow_not_float"],
+    )
+    def test_corrupt_checkpoint_exits_2_without_output(self, tiny_run, tmp_path, capsys, pattern, repl):
+        text, n = re.subn(pattern, repl, (tiny_run / "checkpoint_final.txt").read_text(), count=1, flags=re.M)
+        assert n == 1
+        ckpt = tmp_path / "corrupt.txt"
+        ckpt.write_text(text)
+        out = tmp_path / "out"
+        assert run_cli("eval", "--checkpoint", str(ckpt), "--out-dir", str(out)) == 2
+        assert str(ckpt) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_record_keys_match_training_eval(self, tiny_run, tmp_path):
         from resflow.config import TrainConfig
         from resflow.train import evaluate, init_train_state
@@ -401,7 +434,14 @@ class TestDiagnose:
         assert code == 0
         assert (tmp_path / "envout" / "diagnose.csv").exists()
 
-    def test_checkpoint_source(self, tiny_run, tmp_path):
+    def test_checkpoint_source(self, tiny_run, tmp_path, monkeypatch):
+        load, loads = cli.load_checkpoint, []
+
+        def counted(path):
+            loads.append(path)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_checkpoint", counted)
         out = tmp_path / "diagck"
         code = run_cli(
             "diagnose", "--checkpoint", str(tiny_run / "checkpoint_final.txt"),
@@ -411,6 +451,7 @@ class TestDiagnose:
         assert code == 0
         lines = (out / "diagnose.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 3
+        assert len(loads) == 1  # one parse serves every coefficient
 
     def test_bad_block_index_exit_2(self, tiny_run, tmp_path):
         code = run_cli(

@@ -495,7 +495,7 @@ def two_call_unbiased_grads(model, X, est_cfg, rng, estimator=roulette_value_and
             grads[idx] = np.concatenate([(cot * x_in).sum(axis=0) * scale - n, cot.sum(axis=0)]) / n
             cot = cot * scale
             continue
-        bg, vjp = block_param_grad_of_output(lay.params, x_in, cot, return_vjp=True)
+        bg, vjp = block_param_grad_of_output(lay.params, x_in, cot)
         _, _, lg, ig = estimator(lay.params, x_in, est_cfg, rng)
         grads[idx] = bg.add_(lg, scale=-1.0).scale_(1.0 / n)
         cot = cot + vjp - ig

@@ -12,6 +12,13 @@ Two checkouts give the same lines exactly when a change kept every output
 byte.  Run from the root of a checkout:
 
     python scripts/byte_contract.py
+    python scripts/byte_contract.py --against REV
+
+``--against REV`` extracts the git revision REV (``git archive``) into a
+temporary directory and computes the same digests, with this script, there
+and in the working tree, side by side in two processes.  It prints every
+line whose digests differ, REV's first, then a count, and exits 1 if any
+line differs (2 if REV cannot be extracted or a digest run fails).
 """
 
 import os
@@ -19,10 +26,14 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
+import shutil  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -93,7 +104,39 @@ def bench_digests():
             yield f"bench/{name}/seed{seed}", h.hexdigest()
 
 
+def against(rev: str) -> int:
+    """Digests of ``rev`` and of the working tree; the lines that differ."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True)
+        if archive.returncode != 0:
+            print(f"git archive {rev} failed:\n{archive.stderr.decode()}", file=sys.stderr)
+            return 2
+        tree = Path(tmp) / "rev"
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, filter="data")
+        script = tree / "scripts" / Path(__file__).name
+        script.parent.mkdir(exist_ok=True)
+        shutil.copyfile(__file__, script)  # the same digests in both trees
+        runs = [subprocess.Popen([sys.executable, str(s)], stdout=subprocess.PIPE, text=True)
+                for s in (script, Path(__file__).resolve())]
+        outs = [run.communicate()[0] for run in runs]
+        if any(run.returncode for run in runs):
+            print("a digest run failed", file=sys.stderr)
+            return 2
+    old, new = (dict(line.split() for line in out.splitlines()) for out in outs)
+    differ = [name for name in {**old, **new} if old.get(name) != new.get(name)]
+    for name in differ:
+        print(name, old.get(name, "-"), new.get(name, "-"))
+    print(f"{len(differ)} of {len({**old, **new})} lines differ from {rev}")
+    return 1 if differ else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--against", metavar="REV", help="compare with the git revision REV")
+    args = parser.parse_args()
+    if args.against is not None:
+        return against(args.against)
     with tempfile.TemporaryDirectory() as tmp:
         for name, digest in cli_digests(Path(tmp)):
             print(name, digest, flush=True)

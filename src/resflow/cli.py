@@ -61,6 +61,9 @@ _OVERRIDE_RE = re.compile(r"^--([a-z_][a-z0-9_]*(?:\.[a-z_][a-z0-9_]*)+)=(.*)$")
 
 DIAGNOSE_COEFFS = (0.5, 0.7, 0.9, 0.98)
 DIAGNOSE_ESTIMATORS = ("biased-5", "biased-10", "unbiased")
+# samples per Monte-Carlo chunk; each chunk draws from its own seed, so
+# diagnose's output bytes depend on this value
+MC_CHUNK = 10_000
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -307,12 +310,12 @@ def _diagnose_block(args) -> BlockParams:
     return init_block_params(rng, 2, hidden=args.hidden, init_norm_fraction=1.5)
 
 
-def _mc_chunks(fn, n_samples: int, threads: int, seed_key: list[int], chunk: int = 10_000):
+def _mc_chunks(fn, n_samples: int, threads: int, seed_key: list[int]):
     """Deterministic chunked Monte-Carlo: same result for any thread count."""
-    bounds = list(range(0, n_samples, chunk))
+    bounds = list(range(0, n_samples, MC_CHUNK))
     seeds = np.random.SeedSequence(seed_key).spawn(len(bounds))
     jobs = [
-        (min(chunk, n_samples - start), np.random.default_rng(seeds[i]))
+        (min(MC_CHUNK, n_samples - start), np.random.default_rng(seeds[i]))
         for i, start in enumerate(bounds)
     ]
     if threads > 1:

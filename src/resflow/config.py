@@ -85,7 +85,7 @@ class TrainConfig:
             ("batch_size", 1),
             ("steps", 0),
             ("blocks", 0),
-            ("n_eval", 1),
+            ("n_eval", 2),  # the standard error needs two points
             ("eval_every", 1),
             ("checkpoint_every", 0),
             ("lipschitz_max_iters", 1),
@@ -153,8 +153,8 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return parse_config_text(path.read_text(), source=str(path))
 
 
-def config_from_mapping(mapping: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
-    cfg = TrainConfig() if base is None else base
+def config_from_mapping(mapping: dict[str, str]) -> TrainConfig:
+    cfg = TrainConfig()
     for key, raw in mapping.items():
         if key not in KEY_TO_FIELD:
             raise ConfigError(f"unknown config key {key!r}")

@@ -26,6 +26,9 @@ EIGHT_GAUSSIANS_STD = 0.3
 RING_RADII = (0.9, 1.8, 2.7, 3.6)
 RING_NOISE_STD = 0.08
 
+# resampling rounds before _clip_to_bounds gives up
+CLIP_MAX_ROUNDS = 100
+
 
 @dataclass
 class Dataset2D:
@@ -84,10 +87,10 @@ def _sample_rings(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
 
 
-def _clip_to_bounds(x, bounds, fn, rng, max_rounds: int = 100) -> np.ndarray:
+def _clip_to_bounds(x, bounds, fn, rng) -> np.ndarray:
     """Resample the (astronomically rare) points outside the support box."""
     xmin, xmax, ymin, ymax = bounds
-    for _ in range(max_rounds):
+    for _ in range(CLIP_MAX_ROUNDS):
         bad = ~(
             (x[:, 0] >= xmin) & (x[:, 0] <= xmax) & (x[:, 1] >= ymin) & (x[:, 1] <= ymax)
         )

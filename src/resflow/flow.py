@@ -152,7 +152,6 @@ def build_model(
     dim: int = 2,
     n_blocks: int = 10,
     hidden: int = 128,
-    n_layers: int = 3,
     coeff: float = 0.98,
     norm_preset: str = "spectral",
     actnorm: bool = True,
@@ -170,14 +169,8 @@ def build_model(
     if actnorm:
         layers.append(ActNorm.uninitialized(dim))
     for _ in range(n_blocks):
-        layers.append(
-            ResidualBlock(
-                params=init_block_params(
-                    rng, dim, hidden=hidden, n_layers=n_layers, coeff=coeff,
-                    norm_preset=norm_preset,
-                )
-            )
-        )
+        params = init_block_params(rng, dim, hidden=hidden, coeff=coeff, norm_preset=norm_preset)
+        layers.append(ResidualBlock(params=params))
         if actnorm:
             layers.append(ActNorm.uninitialized(dim))
     return FlowModel(dim=dim, layers=layers)
@@ -269,7 +262,7 @@ def log_density_batch(
         for part in parts:  # in layer order, once the worker's have arrived
             logdet += part.result() if isinstance(part, Future) else part
     logp += logdet
-    mean_terms = terms_total / n_blocks if (n_blocks and mode != "exact") else 0.0
+    mean_terms = terms_total / n_blocks if n_blocks else 0.0
     return h, logp, mean_terms
 
 

@@ -19,6 +19,8 @@ import numpy as np
 from resflow.flow import FlowModel, log_density_batch
 from resflow.logdet import EstimatorConfig
 
+GRID_CHUNK = 8192  # grid points per log_density_batch call
+
 
 @dataclass
 class DensityGrid:
@@ -54,7 +56,6 @@ def compute_grid(
     mode: str = "exact",
     cfg: EstimatorConfig | None = None,
     rng: np.random.Generator | None = None,
-    chunk: int = 8192,
 ) -> DensityGrid:
     xmin, xmax, ymin, ymax = bounds
     if not (xmax > xmin and ymax > ymin):
@@ -69,11 +70,11 @@ def compute_grid(
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     flow_mode = "exact" if mode == "exact" else "unbiased"
     vals = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
+    for start in range(0, pts.shape[0], GRID_CHUNK):
         _, logp, _ = log_density_batch(
-            model, pts[start : start + chunk], mode=flow_mode, cfg=cfg, rng=rng
+            model, pts[start : start + GRID_CHUNK], mode=flow_mode, cfg=cfg, rng=rng
         )
-        vals[start : start + chunk] = logp
+        vals[start : start + GRID_CHUNK] = logp
     grid.values = vals.reshape(ny, nx)
     return grid
 

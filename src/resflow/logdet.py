@@ -21,15 +21,18 @@ truncation.
 
 Entry points: unbiased values per row (``roulette_logdet_rows``, which
 hands back its block's series as a call, so ``flow`` can run it on the
-series worker) or at one point (``*_logdet_batch``); training value and
-gradient per row (``roulette_value_and_neumann_grad_rows``, which takes
-the future of the block's draws and Neumann series from
+series worker) or at one point (``*_logdet_batch``); three training
+routes, each returning ``(values, terms, grads, input_grad)`` per row with
+the pathwise term on its reverse pass (``roulette_value_and_neumann_grad_rows``,
+which takes the future of the block's draws and Neumann series from
 ``neumann_series_rows``, so ``train`` can run every block's series ahead
 of the reverse passes, or draws and runs them itself;
-``biased_value_and_grad_rows``);
-single-point gradients (``neumann_logdet_grad``, ``neumann_grad_samples``,
-``neumann_grad_exact_trace``, ``naive_series_grad``); and the dense
-oracles every route is tested against.  Values are in nats throughout.
+``biased_value_and_grad_rows``; and the dense ``exact_value_and_grad_rows``);
+three single-point gradient oracles, each returning ``(grads, input_grad)``
+(``neumann_logdet_grad``, ``neumann_grad_exact_trace``,
+``naive_series_grad``), and the Monte-Carlo statistics of the first
+(``neumann_grad_samples``); and the dense oracles every route is tested
+against.  Values are in nats throughout.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from resflow.errors import ContractivityError, GuardError, ShapeError
 from resflow.instrument import RetainedList, StorageMeter
 
 NAIVE_SERIES_MAX_TERMS = 20
+SAMPLE_CHUNK = 8192  # rows of per-sample gradients neumann_grad_samples holds at once
 
 
 @dataclass
@@ -165,39 +169,34 @@ def biased_logdet_exact_trace_rows(params: BlockParams, X: np.ndarray, n_fixed: 
     return total
 
 
-def exact_logdet_grad(
-    params: BlockParams,
-    x: np.ndarray,
-    cache=None,
-    want_input_grad: bool = False,
-):
-    """Exact gradient of log det(I + J_g(x)) via the dense resolvent.
+def exact_value_and_grad_rows(params: BlockParams, X: np.ndarray, cache=None, out_cot=None):
+    """Exact log-det per row and its gradients, as the stochastic training routes
+    return them: (values, terms, parameter gradient summed over rows, per-row
+    input gradient), ``terms`` all zero.
 
-    Uses d/dtheta log det(I + J) = tr((I + J)^{-1} dJ/dtheta), realized as
-    d bilinear-form gradients with the resolvent's rows as cotangents.
-    Batched points are summed.  Oracle-grade but only for small d.
+    One dense Jacobian serves ``slogdet`` and the resolvent: d/dtheta log
+    det(I + J) = tr((I + J)^{-1} dJ/dtheta), realized as d bilinear-form
+    gradients with the resolvent's rows as cotangents, and ``out_cot`` rides
+    the first of them as in :func:`roulette_value_and_neumann_grad_rows`.
+    The values are bit for bit :func:`exact_logdet`'s.  Oracle-grade but only
+    for small d.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if cache is None:
-        _, cache = block_forward_cache(params, xb)
+        _, cache = block_forward_cache(params, X)
     cache = derive_cache(params, cache)
-    jac = block_dense_jacobian(params, xb, cache=cache)
-    d = params.dim
-    a_t = np.swapaxes(np.eye(d) + jac, 1, 2)
-    grads = BlockGrads(params)
-    input_grad = np.zeros_like(xb)
-    for b in range(d):
-        e = np.zeros((xb.shape[0], d))
+    a = np.eye(params.dim) + block_dense_jacobian(params, X, cache=cache)
+    values = np.linalg.slogdet(a)[1]
+    a_t = np.swapaxes(a, 1, 2)
+    grads, input_grad = BlockGrads(params), np.zeros_like(X)
+    for b in range(params.dim):
+        e = np.zeros_like(X)
         e[:, b] = 1.0
         u = np.linalg.solve(a_t, e[..., None])[..., 0]
-        g, ig, _ = bilinear_param_grad(params, xb, u, e, cache=cache)
+        g, ig, _ = bilinear_param_grad(params, X, u, e, cache=cache, out_cot=None if b else out_cot)
         grads.add_(g)
         input_grad += ig
-    if want_input_grad:
-        return grads, (input_grad[0] if single else input_grad)
-    return grads
+    return values, np.zeros(len(X), dtype=np.int64), grads, input_grad
 
 
 # -- the series engine -------------------------------------------------------
@@ -347,14 +346,14 @@ def _point_means(a: np.ndarray, n: int, nh: int) -> np.ndarray:
 # -- estimators --------------------------------------------------------------
 
 
-def _logdet_values(params, X, cfg, rng, n, biased=False, force_n=None):
+def _logdet_values(params, X, cfg, rng, n, biased=False):
     """``n`` estimates, each the mean of ``n_hutchinson`` draws, at row j of
     ``X`` or at its only row: (series, total series terms, ``g(X)``).  The
     draws, the forward and the slopes are done; ``series()`` runs the
     series on them, reading nothing else, and returns the values."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     nh = cfg.n_hutchinson
-    v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased, force_n)
+    v, K, (coefs, _) = _draw(rng, params.dim, cfg, n * nh, biased)
     g, cache = block_forward_cache(params, X, slopes_only=True)  # the series reads slopes alone
 
     def series():
@@ -383,11 +382,10 @@ def roulette_logdet_batch(
     cfg: EstimatorConfig,
     rng: np.random.Generator,
     n_samples: int,
-    force_n: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``n_samples`` unbiased estimates at one point: (values, series terms).
-    Expected work is ``n_exact + 1/q`` terms; ``force_n`` fixes the tail."""
-    series, terms, _ = _logdet_values(params, x, cfg, rng, n_samples, force_n=force_n)
+    Expected work is ``n_exact + 1/q`` terms."""
+    series, terms, _ = _logdet_values(params, x, cfg, rng, n_samples)
     return series(), terms
 
 
@@ -411,9 +409,9 @@ def neumann_logdet_grad(
     rng: np.random.Generator,
     force_n: int | None = None,
     meter: StorageMeter | None = None,
-    want_input_grad: bool = False,
-):
-    """Unbiased gradient of log det(I + J_g(x)) at one point.
+) -> tuple[BlockGrads, np.ndarray]:
+    """Unbiased gradient of log det(I + J_g(x)) at one point: (parameter
+    gradient, gradient in ``x``).
 
     The gradient of ``w^T J_g(x) v`` averaged over ``n_hutchinson``
     probes, ``w`` the Neumann cotangent of ``v``.  Only the probes, the
@@ -432,22 +430,17 @@ def neumann_logdet_grad(
     grads, input_grad, _ = bilinear_param_grad(params, x, w, v, cache=cache)
     grads.scale_(1.0 / cfg.n_hutchinson)
     meter.release(held)
-    return (grads, input_grad.mean(axis=0)) if want_input_grad else grads
+    return grads, input_grad.mean(axis=0)
 
 
 def naive_series_grad(
-    params: BlockParams,
-    x: np.ndarray,
-    n_terms: int,
-    v: np.ndarray | None = None,
-    meter: StorageMeter | None = None,
-    want_input_grad: bool = False,
-):
-    """Gradient of the truncated series at one point, every term differentiated.
+    params: BlockParams, x: np.ndarray, n_terms: int, meter: StorageMeter | None = None
+) -> tuple[BlockGrads, np.ndarray]:
+    """Gradient of the truncated series at one point, every term differentiated:
+    (parameter gradient, gradient in ``x``).
 
-    The linear-storage baseline of :func:`neumann_logdet_grad`.  With
-    ``v=None`` exact traces are used (probe loops over the basis),
-    making this the exact-trace differentiated series.
+    The linear-storage baseline of :func:`neumann_logdet_grad`, with exact
+    traces (the probes are the basis vectors).
     """
     if n_terms < 1 or n_terms > NAIVE_SERIES_MAX_TERMS:
         raise GuardError(
@@ -461,19 +454,21 @@ def naive_series_grad(
     meter = meter or StorageMeter()
     meter.retain(held)
     cache = derive_cache(params, cache)
-    probes = np.eye(params.dim) if v is None else np.asarray(v, dtype=np.float64)[None, :]
     coefs, _ = _coefficients(n_terms)
-    _, grads, input_grad = _differentiated_series(params, x, probes, coefs, cache, meter)
+    _, grads, input_grad = _differentiated_series(params, x, np.eye(params.dim), coefs, cache, meter)
     meter.release(held)
-    return (grads, input_grad.sum(axis=0)) if want_input_grad else grads
+    return grads, input_grad.sum(axis=0)
 
 
-def neumann_grad_exact_trace(params: BlockParams, x: np.ndarray, n_terms: int) -> BlockGrads:
-    """Truncated Neumann gradient with exact traces (basis probes).
+def neumann_grad_exact_trace(
+    params: BlockParams, x: np.ndarray, n_terms: int
+) -> tuple[BlockGrads, np.ndarray]:
+    """Truncated Neumann gradient with exact traces (basis probes): (parameter
+    gradient, gradient in ``x``).
 
-    Matches :func:`naive_series_grad` in exact-trace mode term for term:
-    differentiating the k-th log-det series term yields the (k-1)-th
-    Neumann term, so equal truncations agree exactly.
+    Matches :func:`naive_series_grad` term for term: differentiating the
+    k-th log-det series term yields the (k-1)-th Neumann term, so equal
+    truncations agree exactly.
     """
     if n_terms < 1:
         raise GuardError("need at least one term")
@@ -482,7 +477,8 @@ def neumann_grad_exact_trace(params: BlockParams, x: np.ndarray, n_terms: int) -
     cache = derive_cache(params, cache)
     probes, K = np.eye(params.dim), np.full(params.dim, n_terms)
     _, w, _ = _series(params, cache, probes, K, None, _coefficients(n_terms)[1])
-    return bilinear_param_grad(params, x, w, probes, cache=cache)[0]
+    grads, input_grad, _ = bilinear_param_grad(params, x, w, probes, cache=cache)
+    return grads, input_grad.sum(axis=0)
 
 
 def neumann_grad_samples(
@@ -491,7 +487,6 @@ def neumann_grad_samples(
     cfg: EstimatorConfig,
     rng: np.random.Generator,
     n_samples: int,
-    chunk: int = 8192,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Monte-Carlo mean and standard error of the Neumann gradient.
 
@@ -503,8 +498,8 @@ def neumann_grad_samples(
     _, cache = block_forward_cache(params, x)
     cache = derive_cache(params, cache)
     total = total_sq = terms_total = 0.0
-    for done in range(0, n_samples, chunk):
-        v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, min(chunk, n_samples - done))
+    for done in range(0, n_samples, SAMPLE_CHUNK):
+        v, K, (_, grad_coefs) = _draw(rng, params.dim, cfg, min(SAMPLE_CHUNK, n_samples - done))
         _, w, _ = _series(params, cache, v, K, None, grad_coefs)
         g = bilinear_param_grad_per_sample(params, x, w, v, cache=cache)
         total = total + g.sum(axis=0)

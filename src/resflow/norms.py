@@ -35,6 +35,14 @@ NORM_PRESETS = {"spectral": 2.0, "inf": np.inf, "one": 1.0}
 # relative excess over coeff that checkpoint_constraint tolerates in the exact norm
 CERTIFY_TOL = 1e-3
 
+# init_block_params: every activation's initial beta, and the half-width of
+# the hidden biases' uniform law
+BETA_INIT = 0.5
+BIAS_SCALE = 0.5
+
+# standard deviation of empirical_lipschitz's Gaussian sample points
+EMPIRICAL_SCALE = 3.0
+
 
 def vector_norm(x: np.ndarray, p: float) -> np.ndarray:
     """``p``-norm over the last axis, for ``p`` in {1, 2, inf}."""
@@ -269,20 +277,18 @@ def init_block_params(
     coeff: float = 0.98,
     norm_preset: str = "spectral",
     init_norm_fraction: float = 0.7,
-    beta_init: float = 0.5,
-    bias_scale: float = 0.5,
 ) -> BlockParams:
     """Fresh branch parameters with controlled initial norms.
 
     Weights are uniform entries rescaled so every layer's induced norm is
     exactly ``init_norm_fraction * coeff``: early blocks stay comfortably
     contractive, so the log-determinant series converges fast from the
-    first training step.  Hidden biases are uniform in ``+-bias_scale``:
+    first training step.  Hidden biases are uniform in ``+-BIAS_SCALE``:
     with zero biases every pre-activation sits at the activation's
     symmetric near-linear point and the whole stack starts inside an
     affine local optimum it cannot leave; offset biases break that
     symmetry without affecting the Lipschitz bound.  The final layer's
-    bias starts at zero and every activation at beta = ``beta_init``.
+    bias starts at zero and every activation at beta = ``BETA_INIT``.
     """
     from resflow.activations import raw_from_beta
 
@@ -300,28 +306,28 @@ def init_block_params(
             norm, _, _ = spectral_power_iteration(W, tol=1e-12, max_iters=2000)
         W *= target / norm
         if l < n_layers - 1:
-            bias = rng.uniform(-bias_scale, bias_scale, size=dims[l + 1])
+            bias = rng.uniform(-BIAS_SCALE, BIAS_SCALE, size=dims[l + 1])
         else:
             bias = np.zeros(dims[l + 1])
         layers.append(
             LayerParams(
                 weight=W,
                 bias=bias,
-                raw_beta=raw_from_beta(beta_init) if l < n_layers - 1 else None,
+                raw_beta=raw_from_beta(BETA_INIT) if l < n_layers - 1 else None,
             )
         )
     return BlockParams(layers=layers, norm=p)
 
 
 def empirical_lipschitz(
-    params: BlockParams, rng: np.random.Generator, n_pairs: int = 10_000, scale: float = 3.0
+    params: BlockParams, rng: np.random.Generator, n_pairs: int = 10_000
 ) -> float:
     """Largest observed ratio ||g(x)-g(y)||_p / ||x-y||_p over random pairs."""
     from resflow.blocks import block_forward
 
     p = params.norm
     d = params.dim
-    x = rng.standard_normal((n_pairs, d)) * scale
+    x = rng.standard_normal((n_pairs, d)) * EMPIRICAL_SCALE
     y = x + rng.standard_normal((n_pairs, d)) * rng.uniform(1e-3, 1.0, size=(n_pairs, 1))
     num = vector_norm(block_forward(params, x) - block_forward(params, y), p)
     den = vector_norm(x - y, p)

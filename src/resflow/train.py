@@ -7,12 +7,14 @@ value paired with the Neumann-series gradient, the biased fixed
 truncation differentiated term by term, or the dense exact oracle.  Both
 parts propagate input cotangents upstream, so downstream blocks'
 log-determinants correctly contribute gradient to upstream parameters.
-In the stochastic modes the pathwise part rides the log-det's reverse
-pass (``blocks.bilinear_param_grad``), the first one in biased mode.  The
-forward keeps two arrays per hidden layer and block, in buffers reused
-from step to step; the kernel weights and slopes the reverse pass reads
-are derived from them one block at a time, right before that block's
-pass (``blocks.derive_cache``).
+In every mode the pathwise part rides the log-det's reverse pass
+(``blocks.bilinear_param_grad``), the first one in biased and exact mode:
+each block's route returns ``(values, terms, grads, input_grad)`` for its
+output cotangent, so the backward sweep has one body.  The forward keeps
+two arrays per hidden layer and block, in buffers reused from step to
+step; the kernel weights and slopes the reverse pass reads are derived
+from them one block at a time, right before that block's pass
+(``blocks.derive_cache``).
 
 In unbiased mode the draws and the Neumann series leave the backward
 sweep: right after the forward the calling thread draws every block's
@@ -42,6 +44,7 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,8 +52,7 @@ import numpy as np
 from resflow.blocks import (
     BlockGrads,
     block_forward_cache,
-    block_param_grad_of_output,
-    derive_cache,
+    block_param_grad_of_output,  # noqa: F401 -- unused here, but the benchmark's tracer wraps this name
     param_count,
     param_vector,
     release_workspace,
@@ -81,8 +83,7 @@ from resflow.logdet import (
     EstimatorConfig,
     RouletteDist,
     biased_value_and_grad_rows,
-    exact_logdet,
-    exact_logdet_grad,
+    exact_value_and_grad_rows,
     neumann_series_rows,
     roulette_value_and_neumann_grad_rows,
 )
@@ -213,16 +214,25 @@ def nll_and_grad(
                 h = lay.forward(h)
         z = h
         base = base_log_density(z)
-        if mode == "unbiased":
-            # every block's draws here, in the sweep's order (last block first);
-            # its Neumann series, which reads no cotangent, queues on the series
-            # worker, and the sweep waits for it only at its block
-            rows = n * est_cfg.n_hutchinson
-            series: list = [None] * len(model.layers)
-            for idx in range(len(model.layers) - 1, -1, -1):
-                if caches[idx] is not None:
-                    block = model.layers[idx].params
-                    series[idx] = submit(neumann_series_rows(block, caches[idx], est_cfg, rng, rows))
+        # each block's log-det route, called with the block's output cotangent
+        # in the sweep.  In unbiased mode every block's draws are taken here, in
+        # the sweep's order (last block first); its Neumann series, which reads
+        # no cotangent, queues on the series worker, and the sweep waits for it
+        # only at its block
+        routes: list = [None] * len(model.layers)
+        for idx in range(len(model.layers) - 1, -1, -1):
+            if caches[idx] is None:
+                continue
+            block, x_in, cache = model.layers[idx].params, inputs[idx], caches[idx]
+            if mode == "exact":
+                routes[idx] = partial(exact_value_and_grad_rows, block, x_in, cache)
+            elif mode == "unbiased":
+                series = submit(neumann_series_rows(block, cache, est_cfg, rng, n * est_cfg.n_hutchinson))
+                routes[idx] = partial(
+                    roulette_value_and_neumann_grad_rows, block, x_in, est_cfg, rng, cache, series=series
+                )
+            else:
+                routes[idx] = partial(biased_value_and_grad_rows, block, x_in, est_cfg, rng, cache)
 
         # backward sweep; cotangent of sum_i NLL_i w.r.t. the layer output
         cot = z.copy()
@@ -244,28 +254,11 @@ def nll_and_grad(
                 continue
 
             n_blocks += 1
-            block = lay.params
-            if mode == "exact":
-                cache = derive_cache(block, caches[idx])
-                bg, vjp = block_param_grad_of_output(block, x_in, cot, cache=cache)
-                cot = cot + vjp
-                values = exact_logdet(block, x_in)
-                lg, ig = exact_logdet_grad(block, x_in, cache=cache, want_input_grad=True)
-                bg.add_(lg, scale=-1.0).scale_(inv_n)
-            else:
-                # the pathwise term rides the log-det's reverse pass: the
-                # gradients of sum_i logdet_i - cot_i . g(x_i)
-                if mode == "unbiased":
-                    values, terms, bg, ig = roulette_value_and_neumann_grad_rows(
-                        block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot, series=series[idx]
-                    )
-                else:
-                    values, terms, bg, ig = biased_value_and_grad_rows(
-                        block, x_in, est_cfg, rng, cache=caches[idx], out_cot=-cot
-                    )
-                terms_mean += float(terms.mean())
-                # the batch mean of the negated sum
-                bg.scale_(-inv_n)
+            # the pathwise term rides the log-det's reverse pass: the gradients
+            # of sum_i logdet_i - cot_i . g(x_i), then the batch mean of their negation
+            values, terms, bg, ig = routes[idx](out_cot=-cot)
+            bg.scale_(-inv_n)
+            terms_mean += float(terms.mean())
             logdet_sum += values
             cot = cot - ig
             grads[idx] = bg
@@ -273,7 +266,7 @@ def nll_and_grad(
     loss = float(np.mean(-base - logdet_sum))
     aux = {
         "train_nll_nats": loss,
-        "mean_terms": terms_mean / n_blocks if (n_blocks and mode != "exact") else 0.0,
+        "mean_terms": terms_mean / n_blocks if n_blocks else 0.0,
     }
     return loss, grads, aux
 
@@ -435,13 +428,12 @@ def eval_record(
     }
 
 
-def evaluate(state: TrainState, n_eval: int | None = None, mode: str = "exact") -> dict:
-    """Mean NLL of the Polyak model over fresh dataset samples, with the step;
-    ``mode`` as in :func:`eval_record`."""
+def evaluate(state: TrainState, mode: str = "exact") -> dict:
+    """Mean NLL of the Polyak model over ``train.n_eval`` fresh dataset
+    samples, with the step; ``mode`` as in :func:`eval_record`."""
     cfg = state.cfg
-    n_eval = cfg.n_eval if n_eval is None else n_eval
     model = eval_model(state)
-    X = state.eval_dataset.sample(n_eval)
+    X = state.eval_dataset.sample(cfg.n_eval)
     return {"step": state.step, **eval_record(model, X, mode, cfg, state.rng_eval)}
 
 

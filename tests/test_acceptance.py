@@ -135,8 +135,8 @@ def test_criterion_2_gradient_unbiasedness():
     x = np.array([0.3, -0.7])
     rel = 0.0
     for n in (3, 8, 15):
-        a = grads_vector(naive_series_grad(params, x, n))
-        b = grads_vector(neumann_grad_exact_trace(params, x, n))
+        a = grads_vector(naive_series_grad(params, x, n)[0])
+        b = grads_vector(neumann_grad_exact_trace(params, x, n)[0])
         rel = max(rel, float(np.max(np.abs(a - b) / (np.abs(b) + 1e-12))))
     ok = worst < 3.0 and rel < 1e-8
     report(2, ok, f"max |z| = {worst:.2f} (need < 3); series equality rel err = {rel:.1e}")

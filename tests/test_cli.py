@@ -143,6 +143,7 @@ class TestTrain:
             "--train.steps=-1",
             "--train.blocks=-1",
             "--train.n_eval=0",
+            "--train.n_eval=1",
             "--train.eval_every=0",
             "--train.eval_every=-5",
             "--train.checkpoint_every=-1",

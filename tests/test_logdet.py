@@ -15,8 +15,8 @@ from resflow.logdet import (
     biased_logdet_exact_trace_rows,
     biased_value_and_grad_rows,
     exact_logdet,
-    exact_logdet_grad,
     exact_series_logdet,
+    exact_value_and_grad_rows,
     naive_series_grad,
     neumann_grad_exact_trace,
     neumann_grad_samples,
@@ -105,11 +105,38 @@ class TestExactOracles:
             exact_series_logdet(params, X0, max_terms=500)
 
     def test_batched_exact(self):
+        from resflow.blocks import block_forward_cache
+
         params = mlp_block(seed=7)
         X = np.random.default_rng(8).standard_normal((6, 2))
         batched = exact_logdet(params, X)
         rows = np.array([exact_logdet(params, x) for x in X])
         np.testing.assert_allclose(batched, rows, rtol=1e-12)
+        # the exact training route's values, from its own forward or a given
+        # cache, are these bit for bit, and it reports no series terms
+        for cache in (None, block_forward_cache(params, X)[1]):
+            values, terms, _, _ = exact_value_and_grad_rows(params, X, cache=cache)
+            np.testing.assert_array_equal(values.view(np.int64), batched.view(np.int64))
+            np.testing.assert_array_equal(terms, np.zeros(6, dtype=np.int64))
+
+
+class TestExactTrainingRoute:
+    """The dense oracle in the training routes' contract."""
+
+    def test_out_cot_adds_the_pathwise_gradient(self):
+        from resflow.blocks import block_param_grad_of_output
+
+        params = mlp_block(seed=9, hidden=6, frac=1.2)
+        rng = np.random.default_rng(10)
+        X, u = rng.standard_normal((5, 2)), rng.standard_normal((5, 2))
+        values, _, g, ig = exact_value_and_grad_rows(params, X)
+        values_u, _, g_u, ig_u = exact_value_and_grad_rows(params, X, out_cot=u)
+        g_path, vjp = block_param_grad_of_output(params, X, u)
+        np.testing.assert_array_equal(values_u, values)
+        np.testing.assert_allclose(
+            grads_vector(g_u), grads_vector(g) + grads_vector(g_path), rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(ig_u, ig + vjp, rtol=1e-12, atol=1e-12)
 
 
 class TestBiasedTruncated:
@@ -220,9 +247,9 @@ class TestNeumannGradient:
         cfg = EstimatorConfig()
         rng = np.random.default_rng(0)
         for _ in range(10):
-            g = neumann_logdet_grad(zero_block(), X0, cfg, rng)
+            g = neumann_logdet_grad(zero_block(), X0, cfg, rng)[0]
             np.testing.assert_array_equal(g.layers[0].bias, 0.0)
-        exact = exact_logdet_grad(zero_block(), X0)
+        exact = exact_value_and_grad_rows(zero_block(), X0)[2]
         np.testing.assert_allclose(exact.layers[0].weight, np.eye(2), atol=1e-12)
 
     def test_zero_mlp_branch_gradient_is_zero_samplewise(self):
@@ -233,7 +260,7 @@ class TestNeumannGradient:
         cfg = EstimatorConfig()
         rng = np.random.default_rng(1)
         for _ in range(5):
-            g = neumann_logdet_grad(params, X0, cfg, rng)
+            g = neumann_logdet_grad(params, X0, cfg, rng)[0]
             np.testing.assert_array_equal(grads_vector(g), 0.0)
 
     def test_linear_diagonal_closed_form(self):
@@ -244,7 +271,7 @@ class TestNeumannGradient:
         acc = None
         M = 20_000
         for _ in range(M):
-            g = grads_vector(neumann_logdet_grad(params, X0, cfg, rng))
+            g = grads_vector(neumann_logdet_grad(params, X0, cfg, rng)[0])
             acc = g if acc is None else acc + g
         mean = acc / M
         # d/dA log det(I+A) = (I+A)^{-T}; diagonal entries 1/(1+a), off-diagonal 0
@@ -258,7 +285,7 @@ class TestNeumannGradient:
         params = mlp_block(seed=2, hidden=6)
         cfg = EstimatorConfig()
         mean, se, terms = neumann_grad_samples(params, X0, cfg, np.random.default_rng(2), 60_000)
-        exact = grads_vector(exact_logdet_grad(params, X0))
+        exact = grads_vector(exact_value_and_grad_rows(params, X0)[2])
         z = np.where(se > 0, (mean - exact) / np.where(se > 0, se, 1.0), np.abs(mean - exact))
         assert np.max(np.abs(z)) < 4.0
         assert terms == pytest.approx(4.0, abs=0.1)
@@ -266,16 +293,18 @@ class TestNeumannGradient:
     def test_exact_trace_equality_with_naive_series(self):
         params = mlp_block(seed=3, hidden=6)
         for n in (1, 5, 12):
-            g_naive = grads_vector(naive_series_grad(params, X0, n))
-            g_neumann = grads_vector(neumann_grad_exact_trace(params, X0, n))
-            np.testing.assert_allclose(g_naive, g_neumann, rtol=1e-10, atol=1e-14)
+            (g_naive, ig_naive), (g_neumann, ig_neumann) = (
+                oracle(params, X0, n) for oracle in (naive_series_grad, neumann_grad_exact_trace)
+            )
+            np.testing.assert_allclose(grads_vector(g_naive), grads_vector(g_neumann), rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(ig_naive, ig_neumann, rtol=1e-10, atol=1e-14)
 
     def test_input_gradient_unbiased(self):
         params = mlp_block(seed=4, hidden=6)
         M = 30_000
         # one call averaging M probe/truncation draws, each one sample of the estimator
         cfg = EstimatorConfig(n_hutchinson=M)
-        _, ig = neumann_logdet_grad(params, X0, cfg, np.random.default_rng(3), want_input_grad=True)
+        _, ig = neumann_logdet_grad(params, X0, cfg, np.random.default_rng(3))
         h = 1e-5
         fd = np.array(
             [
@@ -286,27 +315,29 @@ class TestNeumannGradient:
         # the gradient is about (6.3e-4, -1.8e-4) and the estimate's standard
         # error at this M about (1.7e-5, 5e-6): the bound is four of the larger
         np.testing.assert_allclose(ig, fd, rtol=0, atol=7e-5)
+        # the exact route's input gradient has only the differences' error
+        np.testing.assert_allclose(exact_value_and_grad_rows(params, X0)[3][0], fd, rtol=0, atol=1e-9)
 
 
 class TestNaiveSeriesGradient:
     def test_first_term_is_trace_gradient(self):
         params = mlp_block(seed=5, hidden=6)
-        g1 = grads_vector(naive_series_grad(params, X0, 1))
-        g2 = grads_vector(neumann_grad_exact_trace(params, X0, 1))
+        g1 = grads_vector(naive_series_grad(params, X0, 1)[0])
+        g2 = grads_vector(neumann_grad_exact_trace(params, X0, 1)[0])
         np.testing.assert_allclose(g1, g2, rtol=1e-12)
 
     def test_linear_diagonal_matches_truncated_series(self):
         a = 0.4
         params = linear_block(np.diag([a, a]))
         n = 6
-        g = naive_series_grad(params, X0, n).layers[0].weight
+        g = naive_series_grad(params, X0, n)[0].layers[0].weight
         # d/dA_ii of sum_k (-1)^(k+1)/k tr(A^k) = sum_k (-1)^(k+1) a^(k-1)
         expected = sum((-1.0) ** (k + 1) * a ** (k - 1) for k in range(1, n + 1))
         np.testing.assert_allclose(np.diag(g), expected, rtol=1e-12)
 
     def test_converged_matches_fd_of_exact_logdet(self):
         params = mlp_block(seed=6, hidden=6, frac=0.5)
-        g = grads_vector(naive_series_grad(params, X0, 20))
+        g = grads_vector(naive_series_grad(params, X0, 20)[0])
         vec = param_vector(params)
         fd = np.zeros_like(vec)
         for i in range(vec.size):
@@ -347,6 +378,55 @@ class TestStorageContract:
         assert peaks[5] - peaks[1] == 2 * 4
         assert peaks[10] - peaks[5] == 2 * 5
         assert peaks[20] - peaks[10] == 2 * 10
+
+    def test_training_routes_traced_bytes(self):
+        """tracemalloc peak of one warmed call of each training route, 512 rows,
+        hidden 128, every row's truncation K forced to N (``n_exact = N - 1``
+        with a tail of one term almost surely, or ``n_fixed = N``).
+
+        One chain vector per row is ``per_term`` bytes.  The Neumann route
+        holds no per-term array, so its peak moves by less than one chain
+        vector from N = 2 to 32 (9.81 MiB at each, measured), and so does the
+        peak of its series alone, the part training runs on the series
+        worker (1.19 -> 1.42 MiB when it keeps every term's chain output):
+        the reverse pass's (rows, hidden) temporaries set the route's peak,
+        so a series that held its terms only while it ran would not show
+        there.  The biased route keeps both chains of every term, over 60
+        chain vectors more at N = 32 (10.12 -> 10.59 MiB), of which the bound
+        asks for half.
+        """
+        import tracemalloc
+
+        from resflow.blocks import block_forward_cache
+        from resflow.logdet import neumann_series_rows
+
+        params = mlp_block(seed=19, hidden=128, frac=1.0)
+        X = np.random.default_rng(20).standard_normal((512, 2))
+        per_term, cache = X.nbytes, block_forward_cache(params, X)[1]
+
+        def peak(call):
+            call()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        ns, routes = (2, 8, 32), (roulette_value_and_neumann_grad_rows, biased_value_and_grad_rows)
+        neumann, biased, series = [], [], []
+        for n in ns:
+            cfg = EstimatorConfig(roulette=RouletteDist(0.999999, n - 1), n_fixed=n)
+            for route, peaks in zip(routes, (neumann, biased)):
+                peaks.append(peak(lambda: route(params, X, cfg, np.random.default_rng(21))))
+            series.append(peak(lambda: neumann_series_rows(params, cache, cfg, np.random.default_rng(21), 512)()))
+        mib = {name: [f"{b / 2**20:.2f}" for b in peaks]
+               for name, peaks in (("neumann", neumann), ("biased", biased), ("series", series))}
+        assert max(neumann) - min(neumann) < per_term, mib
+        assert max(series) - min(series) < per_term, mib
+        assert biased[0] < biased[1] < biased[2], mib
+        assert biased[2] - biased[0] > 30 * per_term, mib
 
 
 class TestSeriesKernel:
@@ -496,10 +576,7 @@ class TestTrainingEstimators:
         assert len(set(n_tail)) > 1
         expected = np.zeros_like(grads_vector(g))
         for i in range(X.shape[0]):
-            g_i, ig_i = neumann_logdet_grad(
-                params, X[i], cfg, FixedProbe(probes[i]), force_n=int(n_tail[i]),
-                want_input_grad=True,
-            )
+            g_i, ig_i = neumann_logdet_grad(params, X[i], cfg, FixedProbe(probes[i]), force_n=int(n_tail[i]))
             expected += grads_vector(g_i)
             np.testing.assert_allclose(ig[i], ig_i, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(grads_vector(g), expected, rtol=1e-10, atol=1e-13)

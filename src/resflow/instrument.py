@@ -1,17 +1,33 @@
-"""Counting of retained intermediate arrays.
+"""Counting of retained intermediate arrays, and their bytes.
 
 The two log-determinant gradient routines differ in how much state they
 must keep alive: the Neumann-series form overwrites a single running
 vector, while the differentiate-every-term form must keep every power of
 the Jacobian applied to the probe vector until the backward sweep runs.
-The meter makes that difference testable without resorting to wall-clock
-or allocator tricks: gradient routines report every array they hold onto
-and every array they drop.
+The meter makes that difference testable without wall-clock timing:
+gradient routines report every array they hold onto and every array they
+drop.  Since such a count is one a routine declares for itself,
+:func:`traced_peak` measures the same difference in bytes allocated.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass, field
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates above what it started with, as
+    tracemalloc traces them, measured on a second call after a warm-up one
+    (which fills the buffer pools the call reuses)."""
+    call()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 @dataclass

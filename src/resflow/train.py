@@ -61,6 +61,7 @@ from resflow.blocks import (
 )
 from resflow.checkpoint import load_checkpoint, save_checkpoint
 from resflow.config import (
+    EVAL_HUTCHINSON,
     KEY_TO_FIELD,
     TrainConfig,
     config_from_mapping,
@@ -115,10 +116,12 @@ def estimator_config_from(cfg: TrainConfig) -> EstimatorConfig:
 
 
 def eval_estimator_config_from(cfg: TrainConfig) -> EstimatorConfig:
-    """Evaluation protocol: many leading terms, several tail samples."""
+    """Evaluation protocol: many leading terms, an unbiased tail, and
+    ``eval_tail_samples`` probes per point of the law ``EVAL_HUTCHINSON``
+    (``cfg.hutchinson`` sets the training probes only)."""
     return EstimatorConfig(
         roulette=RouletteDist(q=cfg.q, n_exact=cfg.eval_terms),
-        hutchinson_dist=cfg.hutchinson,
+        hutchinson_dist=EVAL_HUTCHINSON,
         n_hutchinson=cfg.eval_tail_samples,
         n_fixed=cfg.n_fixed,
     )
@@ -406,8 +409,9 @@ def eval_record(
     """Mean NLL of ``model`` over the rows of ``X``, as an evaluation record.
 
     ``mode='exact'`` uses the dense oracle; ``mode='estimator'`` uses the
-    evaluation protocol (eval_terms leading terms, unbiased tail,
-    eval_tail_samples probe draws per point) with ``rng``.
+    evaluation protocol of :func:`eval_estimator_config_from` (eval_terms
+    leading terms, unbiased tail, eval_tail_samples Rademacher probes per
+    point) with ``rng``.
     """
     if mode == "exact":
         _, logp, mean_terms = log_density_batch(model, X, mode="exact")

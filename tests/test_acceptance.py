@@ -9,19 +9,22 @@ import numpy as np
 import pytest
 
 from resflow.activations import lipswish_d1, lipswish_d2, softplus_d1, softplus_d2
-from resflow.blocks import grads_vector, param_vector, set_param_vector
+from resflow.blocks import block_forward_cache, grads_vector, param_vector, set_param_vector
 from resflow.config import TrainConfig
 from resflow.data import make_dataset
 from resflow.flow import ResidualBlock, inverse, sample, transform
 from resflow.grid import compute_grid
-from resflow.instrument import StorageMeter
+from resflow.instrument import StorageMeter, traced_peak
 from resflow.logdet import (
     EstimatorConfig,
+    RouletteDist,
+    biased_value_and_grad_rows,
     exact_logdet,
     naive_series_grad,
     neumann_grad_exact_trace,
     neumann_grad_samples,
     neumann_logdet_grad,
+    neumann_series_rows,
     roulette_logdet_batch,
 )
 from resflow.norms import (
@@ -274,7 +277,16 @@ def test_criterion_8_normalization(trained_run):
 
 
 def test_criterion_9_memory_contract():
-    """Neumann gradient storage flat in the truncation; naive storage linear."""
+    """Neumann gradient storage flat in the truncation; naive storage linear.
+
+    Counted twice: in arrays, by the routes' own ``StorageMeter``, and in
+    bytes, by the tracemalloc peak of a warmed call on 512 rows with every
+    row's truncation forced to N (``n_exact = N - 1`` with a tail of one
+    term almost surely, or ``n_fixed = N``).  The shipped Neumann series,
+    which training queues on the series worker, must peak within one chain
+    vector (``per_term`` bytes) of itself from N = 2 to 32; the biased route,
+    which keeps both chains of every term, must grow by over 30 of them.
+    """
     params = contractive_block(91)
     x = np.array([0.2, -0.5])
     neumann_peaks = []
@@ -296,11 +308,32 @@ def test_criterion_9_memory_contract():
     ]
     linear_ok = increments == [2 * 4, 2 * 5, 2 * 10]
     constant_ok = len(set(neumann_peaks)) == 1
+    wide = contractive_block(92, hidden=128, frac=1.0)
+    X = np.random.default_rng(93).standard_normal((512, 2))
+    per_term, cache = X.nbytes, block_forward_cache(wide, X)[1]
+    series_bytes, biased_bytes = [], []
+    for n in (2, 8, 32):
+        cfg = EstimatorConfig(roulette=RouletteDist(0.999999, n - 1), n_fixed=n)
+        series_bytes.append(traced_peak(
+            lambda: neumann_series_rows(wide, cache, cfg, np.random.default_rng(94), 512)()
+        ))
+        biased_bytes.append(traced_peak(
+            lambda: biased_value_and_grad_rows(wide, X, cfg, np.random.default_rng(94))
+        ))
+    series_ok = max(series_bytes) - min(series_bytes) < per_term
+    biased_ok = biased_bytes[0] < biased_bytes[1] < biased_bytes[2]
+    biased_ok = biased_ok and biased_bytes[2] - biased_bytes[0] > 30 * per_term
+
+    def mib(peaks):
+        return [f"{b / 2**20:.2f}" for b in peaks]
+
     report(
         9,
-        constant_ok and linear_ok,
+        constant_ok and linear_ok and series_ok and biased_ok,
         f"neumann peaks {neumann_peaks} constant; naive peaks {sorted(naive_peaks.values())} "
-        f"grow by 2 arrays/term",
+        f"grow by 2 arrays/term; traced MiB at N = 2, 8, 32: neumann series "
+        f"{mib(series_bytes)} (within {per_term} B), biased route {mib(biased_bytes)} "
+        f"(growing by > {30 * per_term} B)",
     )
 
 

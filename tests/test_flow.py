@@ -316,13 +316,17 @@ def assert_same_bits(got, want):
 class TestUnbiasedPipeline:
     """The unbiased route runs every other block's series on the series worker."""
 
-    @pytest.mark.parametrize("n_hutchinson", [1, 3])
+    @pytest.mark.parametrize(
+        "n_hutchinson, probes",
+        [(1, "gaussian"), (3, "gaussian"), (1, "rademacher"), (2, "rademacher")],
+        ids=["1", "3", "1-rademacher", "2-rademacher"],
+    )
     @pytest.mark.parametrize("n_blocks", [0, 1, 2, 5])
-    def test_matches_the_sequential_loop_bit_for_bit(self, n_blocks, n_hutchinson):
+    def test_matches_the_sequential_loop_bit_for_bit(self, n_blocks, n_hutchinson, probes):
         model = data_model(n_blocks)
         assert any(lay.logdet != 0.0 for lay in model.layers if isinstance(lay, ActNorm))
         X = np.random.default_rng(42).standard_normal((9, 2))
-        cfg = EstimatorConfig(n_hutchinson=n_hutchinson)
+        cfg = EstimatorConfig(hutchinson_dist=probes, n_hutchinson=n_hutchinson)
         want = sequential_density(model, X, cfg, np.random.default_rng(43))
         rng = np.random.default_rng(43)
         assert_same_bits(log_density_batch(model, X, mode="unbiased", cfg=cfg, rng=rng), want)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from resflow.blocks import BlockParams, LayerParams, grads_vector, param_vector, set_param_vector
 from resflow.errors import ContractivityError, GuardError
-from resflow.instrument import StorageMeter
+from resflow.instrument import StorageMeter, traced_peak
 from resflow.logdet import (
     EstimatorConfig,
     RouletteDist,
@@ -193,6 +193,16 @@ class TestRouletteLogdet:
         exact = 2 * np.log(1.5)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - exact) < 3 * se
+
+    @pytest.mark.parametrize("probes", ["gaussian", "rademacher"])
+    def test_unbiased_mlp_block(self, probes):
+        # an MLP block, whose Jacobian has off-diagonal entries: in a diagonal
+        # linear block a Rademacher probe's trace estimate has no noise
+        params = mlp_block(seed=2, frac=0.9)
+        cfg = EstimatorConfig(hutchinson_dist=probes)
+        vals, _ = roulette_logdet_batch(params, X0, cfg, np.random.default_rng(11), 100_000)
+        se = vals.std(ddof=1) / np.sqrt(len(vals))
+        assert abs(vals.mean() - exact_logdet(params, X0)) < 3 * se
 
     def test_work_distribution(self):
         params = mlp_block(seed=4)
@@ -395,32 +405,19 @@ class TestStorageContract:
         chain vectors more at N = 32 (10.12 -> 10.59 MiB), of which the bound
         asks for half.
         """
-        import tracemalloc
-
         from resflow.blocks import block_forward_cache
         from resflow.logdet import neumann_series_rows
 
         params = mlp_block(seed=19, hidden=128, frac=1.0)
         X = np.random.default_rng(20).standard_normal((512, 2))
         per_term, cache = X.nbytes, block_forward_cache(params, X)[1]
-
-        def peak(call):
-            call()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                call()
-                return tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-
         ns, routes = (2, 8, 32), (roulette_value_and_neumann_grad_rows, biased_value_and_grad_rows)
         neumann, biased, series = [], [], []
         for n in ns:
             cfg = EstimatorConfig(roulette=RouletteDist(0.999999, n - 1), n_fixed=n)
             for route, peaks in zip(routes, (neumann, biased)):
-                peaks.append(peak(lambda: route(params, X, cfg, np.random.default_rng(21))))
-            series.append(peak(lambda: neumann_series_rows(params, cache, cfg, np.random.default_rng(21), 512)()))
+                peaks.append(traced_peak(lambda: route(params, X, cfg, np.random.default_rng(21))))
+            series.append(traced_peak(lambda: neumann_series_rows(params, cache, cfg, np.random.default_rng(21), 512)()))
         mib = {name: [f"{b / 2**20:.2f}" for b in peaks]
                for name, peaks in (("neumann", neumann), ("biased", biased), ("series", series))}
         assert max(neumann) - min(neumann) < per_term, mib
@@ -447,7 +444,7 @@ class TestSeriesKernel:
         return values, w
 
     @pytest.mark.parametrize(
-        "case", ["batch", "shared_point", "point_of_row", "no_tail", "one_tail_row"]
+        "case", ["batch", "shared_point", "point_of_row", "no_tail", "one_tail_row", "rademacher"]
     )
     def test_values_and_cotangent_match_dense_powers(self, case):
         from resflow.blocks import block_dense_jacobian, block_forward_cache
@@ -462,10 +459,16 @@ class TestSeriesKernel:
         elif case == "point_of_row":  # 3 probes per point
             cfg = EstimatorConfig(n_hutchinson=3)
             X, point = X[:4], np.arange(12) // 3
+        elif case == "rademacher":
+            cfg = EstimatorConfig(hutchinson_dist="rademacher")
         v, K, coefs = _draw(np.random.default_rng(15), 2, cfg, 12)
         # replay: all probes first, then all truncations
         replay = np.random.default_rng(15)
-        np.testing.assert_array_equal(v, replay.standard_normal((12, 2)))
+        if case == "rademacher":  # only +-1, and both signs
+            assert set(np.unique(v)) == {-1.0, 1.0}
+            np.testing.assert_array_equal(v, replay.choice(np.array([-1.0, 1.0]), size=(12, 2)))
+        else:
+            np.testing.assert_array_equal(v, replay.standard_normal((12, 2)))
         np.testing.assert_array_equal(K, cfg.roulette.n_exact + cfg.roulette.sample(replay, 12))
         assert len(set(K)) > 2
         if case == "no_tail":  # every row stops at the same term

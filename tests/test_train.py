@@ -34,6 +34,7 @@ from resflow.norms import checkpoint_constraint
 from resflow.train import (
     ParamPacker,
     estimator_config_from,
+    eval_estimator_config_from,
     evaluate,
     fit,
     gaussian_fit_nll,
@@ -598,6 +599,13 @@ class TestEvaluate:
         # same polyak model, fresh eval draws; agreement within joint noise
         tol = 3 * np.hypot(exact["eval_nll_se_nats"], est["eval_nll_se_nats"])
         assert abs(exact["eval_nll_nats"] - est["eval_nll_nats"]) < tol
+
+    def test_protocol_draws_two_rademacher_probes_whatever_the_training_law(self):
+        cfg = TrainConfig(hutchinson="gaussian", n_hutchinson=3)
+        assert estimator_config_from(cfg).hutchinson_dist == "gaussian"
+        protocol = eval_estimator_config_from(cfg)
+        assert (protocol.hutchinson_dist, protocol.n_hutchinson) == ("rademacher", 2)
+        assert protocol.roulette.n_exact == cfg.eval_terms == 20
 
     def test_bits_conversion(self):
         assert nats_to_bits(2.0) == pytest.approx(2.8854, abs=5e-5)
